@@ -20,7 +20,6 @@ from .atoms import (
     primitive_root,
 )
 from .codes import (
-    DEFAULT_N_CMP,
     AtomSeqCode,
     BinSeqCode,
     CycW,
@@ -43,7 +42,6 @@ from .errors import (
     CarveqError,
     ClauseViolation,
     DomainViolation,
-    IncomparableCodes,
     NoWitness,
     ParseError,
     ResourceLimit,

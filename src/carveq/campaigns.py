@@ -62,7 +62,7 @@ def campaign_identity(cfg):
             )
             continue
         for n, (got, want) in enumerate(zip(out.entries, p.y.entries)):
-            if not binseq_eq(got, want, cfg.n_cmp):
+            if not binseq_eq(got, want):
                 report.violations.append(
                     Violation(i, f"entry {n} changed on {ppoint_to_text(p)}", "y(n)", "f(p)(n)")
                 )
@@ -89,7 +89,7 @@ def campaign_claim(cfg):
         x0, p, q = _infiber_case(rng, cfg)
         record = fiber_reduction(x0)
         truth = e_invariant(p) == e_invariant(q)
-        mapped = rel_G(record.map(p), record.map(q), cfg.n_cmp)
+        mapped = rel_G(record.map(p), record.map(q))
         report.checked += 1
         if truth != mapped:
             report.violations.append(
@@ -112,7 +112,7 @@ def campaign_star(cfg):
         for n in range(len(p.y.entries)):
             for m in range(len(q.y.entries)):
                 left = carve(p, n) == carve(q, m)
-                right = binseq_eq(fp.entries[n], fq.entries[m], cfg.n_cmp)
+                right = binseq_eq(fp.entries[n], fq.entries[m])
                 if left != right:
                     report.violations.append(
                         Violation(i, f"n={n} m={m}: {ppoint_to_text(p)} | {ppoint_to_text(q)}", left, right)
@@ -218,7 +218,7 @@ def campaign_gtof(cfg):
     for i in range(cfg.cases):
         rng = stream(cfg.seed, i)
         y, y2 = gen_yseq_pair(rng, cfg)
-        truth = rel_G(y, y2, cfg.n_cmp)
+        truth = rel_G(y, y2)
         image = rel_F(g_to_f(y), g_to_f(y2))
         report.checked += 1
         if truth != image:

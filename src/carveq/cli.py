@@ -9,7 +9,7 @@ Subcommands:
                       its canonical form
 
 Global flags on every subcommand: --seed --cases --atom-universe --max-period
---max-entries --n-cmp --format {text,machine}.  Exit codes: 0 pass,
+--max-entries --format {text,machine}.  Exit codes: 0 pass,
 1 violation, 2 usage or configuration error.
 """
 
@@ -34,8 +34,6 @@ def _add_common(sub):
                      help="max cyclic period (default 6; for count, defaults to --n)")
     sub.add_argument("--max-entries", type=int, default=5, dest="max_entries",
                      help="max entries per sequence (default 5)")
-    sub.add_argument("--n-cmp", type=int, default=4096, dest="n_cmp",
-                     help="search bound for mixed comparisons (default 4096)")
     sub.add_argument("--format", choices=("text", "machine"), default="text",
                      help="report format (default text)")
 
@@ -71,7 +69,6 @@ def _config(args):
         atom_universe=args.atom_universe,
         max_period=args.max_period if args.max_period is not None else 6,
         max_entries=args.max_entries,
-        n_cmp=args.n_cmp,
     )
 
 

@@ -3,9 +3,9 @@
 Every code denotes a total infinite sequence, and every quantifier over all
 of N is discharged over a provably sufficient finite bound.  The algebra is
 closed: atom-sequence codes are cyclic entry lists or pair-merges of a row
-code, binary-sequence codes are cyclic words or pullbacks, and constructors
-normalize eagerly so that equality stays decidable wherever the construction
-can guarantee it.  Opaque generator functions are rejected at the boundary.
+code, binary-sequence codes are cyclic words or pullbacks, constructors
+normalize eagerly, and equality of binary-sequence codes is decided exactly.
+Opaque generator functions are rejected at the boundary.
 """
 
 import math
@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .atoms import AtomSet, CyclicWord, Tag, is_atom
-from .errors import IncomparableCodes
 from .pairing import cantor_pair, cantor_unpair
-
-DEFAULT_N_CMP = 4096
 
 
 @dataclass(frozen=True)
@@ -143,8 +140,7 @@ def pullback(base, aset):
 
     The set is clipped to the base range; an empty or full clip yields the
     constant word, and a cyclic base is evaluated through to a word of one
-    base period, so equality among codes built here never needs the
-    undecidable mixed comparison.
+    base period.
     """
     rng = range_set(base)
     aset = aset.intersection(rng)
@@ -167,36 +163,42 @@ def binseq_value_at(b, k):
     raise TypeError(f"not a binary-sequence code: {b!r}")
 
 
-def binseq_eq(u, v, n_cmp=DEFAULT_N_CMP):
-    """Pointwise equality of denoted binary sequences, where decidable.
+def _table_shape(b):
+    """(rows, periods) of the table i, j -> b(e(i, j)): row i equals row
+    i mod rows and repeats in j with period periods[i % len(periods)].
+    A pullback over s rows has s rows, row i of period p_{i mod s}.  A word
+    of length L has 2L rows of period 2L: b(e(i, j)) is the word at
+    T(i + j) + j mod L, T(t) = t(t + 1)/2, and T(t + 2L) - T(t) =
+    L(2t + 2L + 1)."""
+    if isinstance(b, CycW):
+        n = 2 * len(b.word)
+        return n, (n,)
+    if isinstance(b, Pullback):
+        rows = b.base.z.entries
+        return len(rows), tuple(len(row.entries) for row in rows)
+    raise TypeError(f"not a binary-sequence code: {b!r}")
 
-    word/word: canonical forms identical (equivalently, agreement over the
-    lcm of the two periods).  pullback/pullback: agreement over the grid
-    k = e(i, j) for i < lcm(s, s') and j < lcm(p_i, p'_i), sufficient since
-    the bit at e(i, j) depends only on (i mod s, j mod p_{i mod s}) on one
-    side and (i mod s', j mod p'_{i mod s'}) on the other.  word/pullback
-    equality is not known to be decidable: we search for a disagreement
-    below ``n_cmp`` and raise IncomparableCodes rather than guess.
+
+def binseq_eq(u, v):
+    """Pointwise equality of denoted binary sequences; exact and total.
+
+    word/word: canonical forms identical.  Any other pair: agreement on
+    k = e(i, j) for i < lcm(rows_u, rows_v) and j < lcm(period_u(i),
+    period_v(i)), shapes from :func:`_table_shape`.  This suffices: both
+    tables repeat in i with period lcm(rows_u, rows_v), row i of both in j
+    with period lcm(period_u(i), period_v(i)), so every cell has the values
+    of a grid cell, and the pairing is a bijection.
     """
     if isinstance(u, CycW) and isinstance(v, CycW):
         return u.word == v.word
-    if isinstance(u, Pullback) and isinstance(v, Pullback):
-        zu, zv = u.base.z.entries, v.base.z.entries
-        s, s2 = len(zu), len(zv)
-        for i in range(math.lcm(s, s2)):
-            pi = len(zu[i % s].entries)
-            pi2 = len(zv[i % s2].entries)
-            for j in range(math.lcm(pi, pi2)):
-                k = cantor_pair(i, j)
-                if binseq_value_at(u, k) != binseq_value_at(v, k):
-                    return False
-        return True
-    for k in range(n_cmp):
-        if binseq_value_at(u, k) != binseq_value_at(v, k):
-            return False
-    raise IncomparableCodes(
-        f"word/pullback comparison found no disagreement below {n_cmp}"
-    )
+    ru, pu = _table_shape(u)
+    rv, pv = _table_shape(v)
+    for i in range(math.lcm(ru, rv)):
+        for j in range(math.lcm(pu[i % len(pu)], pv[i % len(pv)])):
+            k = cantor_pair(i, j)
+            if binseq_value_at(u, k) != binseq_value_at(v, k):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,6 @@ class CarveqError(Exception):
     """Base class for all package-specific errors."""
 
 
-class IncomparableCodes(CarveqError):
-    """Equality of two binary-sequence codes could not be decided.
-
-    Raised instead of guessing when a periodic word is compared against a
-    pullback over a pair-merged base and no disagreeing index exists below
-    the search bound.
-    """
-
-
 class ClauseViolation(CarveqError):
     """A candidate pair (x, y) failed one of the three membership clauses."""
 

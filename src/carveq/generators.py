@@ -60,19 +60,18 @@ def stream(seed, index):
 @dataclass(frozen=True)
 class FuzzConfig:
     """Campaign knobs.  Defaults: seed=0, cases=1000, atom_universe=4,
-    max_period=6, max_entries=5, n_cmp=4096."""
+    max_period=6, max_entries=5."""
 
     seed: int = 0
     cases: int = 1000
     atom_universe: int = 4
     max_period: int = 6
     max_entries: int = 5
-    n_cmp: int = 4096
 
     def __post_init__(self):
         if self.cases < 0:
             raise ValueError("cases must be nonnegative")
-        for field in ("atom_universe", "max_period", "max_entries", "n_cmp"):
+        for field in ("atom_universe", "max_period", "max_entries"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be positive")
 

@@ -2,10 +2,11 @@
 brute-force class counting over finite atom universes."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .atoms import AtomSet, CyclicWord, Rational, atom_sort_key, primitive_root
-from .codes import CycW, Cyclic, Pullback, pullback, range_set, YSeq
+from .codes import CycW, Cyclic, Pullback, YSeq, binseq_eq, binseq_value_at, pullback, range_set
 from .errors import ResourceLimit
 from .relations import PPoint, carve
 
@@ -59,20 +60,32 @@ def fs2_invariant(z):
 def binseq_class_rep(entry):
     """Canonical representative of the sequence a binary code denotes.
 
-    Words: ("word", primitive bits).  Pullbacks: ("pull", row carve words),
-    each row's bit pattern reduced to its primitive root and the row-word
-    list itself reduced as a cyclic word over the word alphabet; two
-    pullbacks denote the same sequence iff these match, since the bit at
-    e(i, j) is row i's pattern at j and rows repeat cyclically.  The two
-    kinds never collide; cross-kind pairs are exactly the ones equality
-    refuses to answer.
+    Words: ("word", primitive bits).  A pullback over s rows that denotes
+    a word gets that word's representative; any other pullback gets
+    ("pull", row carve words), each row's bit pattern reduced to its
+    primitive root and the row-word list itself reduced as a cyclic word
+    over the word alphabet; two such pullbacks denote the same sequence
+    iff these match, since the bit at e(i, j) is row i's pattern at j and
+    rows repeat cyclically.
+
+    Lemma: a pullback over s rows equal to a word w of primitive length L
+    has L | s.  Its table rows i and i + s are equal, so on an antidiagonal
+    i + j = m >= L - 1 the word read at T(m) + j, T(t) = t(t + 1)/2,
+    equals the word read at T(m + s) + j for L consecutive j.  No
+    nontrivial rotation fixes w, so L | d(m) = T(m + s) - T(m) for all such
+    m, hence L | d(m + 1) - d(m) = s.  So a pullback denotes a word iff it
+    equals the word of its first s bits.
     """
     if isinstance(entry, CycW):
         return ("word", entry.word.bits)
     if isinstance(entry, Pullback):
+        rows = entry.base.z.entries
+        head = CycW("".join(str(binseq_value_at(entry, k)) for k in range(len(rows))))
+        if binseq_eq(head, entry):
+            return ("word", head.word.bits)
         words = tuple(
             CyclicWord("".join("1" if a in entry.aset else "0" for a in row.entries)).bits
-            for row in entry.base.z.entries
+            for row in rows
         )
         return ("pull", primitive_root(words))
     raise TypeError(f"not a binary-sequence code: {entry!r}")
@@ -80,7 +93,7 @@ def binseq_class_rep(entry):
 
 def g_invariant(y):
     """Set of canonical entry representatives; complete for entry-class
-    equality wherever that is decidable."""
+    equality."""
     return frozenset(binseq_class_rep(e) for e in y.entries)
 
 
@@ -98,7 +111,17 @@ DEFAULT_ENUM_CAP = 2_000_000
 
 
 class _Budget:
-    def __init__(self, cap):
+    """Enumeration steps against a cap.  ``steps`` yields the closed-form
+    step counts of the enumeration's parts, summed lazily, so a count past
+    the cap is refused before it starts and before a part too large to hold
+    is computed."""
+
+    def __init__(self, cap, steps):
+        planned = 0
+        for part in steps:
+            planned += part
+            if planned > cap:
+                raise ResourceLimit(f"enumeration needs more than the cap of {cap} steps")
         self.cap = cap
         self.spent = 0
 
@@ -132,7 +155,9 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
     per nonempty range suffices.  The universe is fixed: maps that mint
     fresh atoms (tagging, word atoms) fall outside these counts, which
     illustrate growth under the jump rather than prove non-reducibility.
-    Raises ResourceLimit past ``cap``.
+    Raises ResourceLimit, before enumerating, when the step count exceeds
+    ``cap``: sum_{k <= max_period} n^k cyclic codes for F, and
+    sum_r C(n, r)(2^(2^r - 1) - 1) candidate families for E.
     """
     if level not in ("F", "E"):
         raise ValueError(f"unknown level {level!r}")
@@ -143,15 +168,15 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
     if max_period < n:
         raise ValueError("max_period must be at least the universe size")
 
-    universe = atom_universe(n)
-    budget = _Budget(cap)
-
     if level == "F":
+        budget = _Budget(cap, (n**k for k in range(1, max_period + 1)))
         seen = set()
-        for code in _all_cyclic_codes(universe, max_period, budget):
+        for code in _all_cyclic_codes(atom_universe(n), max_period, budget):
             seen.add(f_invariant(code))
         return len(seen)
 
+    budget = _Budget(cap, (math.comb(n, r) * (2 ** (2**r - 1) - 1) for r in range(1, n + 1)))
+    universe = atom_universe(n)
     seen = set()
     for r in range(1, n + 1):
         for base_atoms in itertools.combinations(universe, r):

@@ -23,7 +23,7 @@ from .codes import (
     saturation_bound,
     value_at,
 )
-from .errors import CarveqError, DomainViolation, IncomparableCodes, NoWitness, StructuralMismatch, TypeMismatch
+from .errors import CarveqError, DomainViolation, NoWitness, StructuralMismatch, TypeMismatch
 from .relations import ATOM_EQ, E_REL, F_REL, EqRelHandle, PPoint, g_handle, jump, product, rel_F
 
 
@@ -158,18 +158,15 @@ def g_to_f(y):
     atoms = []
     for k, entry in enumerate(y.entries):
         if not isinstance(entry, CycW):
-            raise IncomparableCodes(f"entry {k} is a proper pullback with no word form")
+            raise StructuralMismatch(f"entry {k} is a pullback, outside the domain of g_to_f")
         atoms.append(WordAtom(entry.word))
     return Cyclic(tuple(atoms))
 
 
-def gxf_record(n_cmp=None):
-    from .codes import DEFAULT_N_CMP
-
-    g = g_handle(n_cmp if n_cmp is not None else DEFAULT_N_CMP)
+def gxf_record():
     return ReductionRecord(
         name="fxg_to_fxf",
-        source=product(F_REL, g),
+        source=product(F_REL, g_handle()),
         target=product(F_REL, F_REL),
         map=lambda xy: (xy[0], g_to_f(xy[1])),
     )
@@ -388,7 +385,7 @@ def chain_report(cfg, corrupt=None):
     staged = [
         (embed_fs2_record(), sample(gen_zcode_pair, 0)),
         None,  # the conjectured link occupies this slot
-        (gxf_record(cfg.n_cmp), product_pairs(1)),
+        (gxf_record(), product_pairs(1)),
         (interleave_record(), ff_pairs(2)),
     ]
 

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 from .atoms import AtomSet, atom_eq
 from .codes import (
-    DEFAULT_N_CMP,
     CycW,
     Cyclic,
     PairMerge,
@@ -24,7 +23,7 @@ from .codes import (
     saturation_bound,
     value_at,
 )
-from .errors import ClauseViolation, DomainViolation, IncomparableCodes, StructuralMismatch
+from .errors import ClauseViolation, DomainViolation, StructuralMismatch
 
 
 @dataclass(frozen=True)
@@ -84,35 +83,18 @@ def rel_F(x, x2):
 F_REL = EqRelHandle("F", rel_F)
 
 
-def _exists_match(entry, others, n_cmp):
-    unknown = False
-    for o in others:
-        try:
-            if binseq_eq(entry, o, n_cmp):
-                return True
-        except IncomparableCodes:
-            unknown = True
-    if unknown:
-        raise IncomparableCodes(
-            "an entry's match could not be decided against the other side"
-        )
-    return False
+BINSEQ_EQ = EqRelHandle("binseq_eq", binseq_eq)
+_G_JUMP = jump(BINSEQ_EQ)
 
 
-def rel_G(y, y2, n_cmp=DEFAULT_N_CMP):
-    """Jump of binary-sequence equality on entry lists.
-
-    Returns True only with definite witnesses for every entry, False only
-    when some entry is definitely unmatched; raises IncomparableCodes when
-    the verdict would otherwise rest on an undecided comparison.
-    """
-    return all(_exists_match(e, y2.entries, n_cmp) for e in y.entries) and all(
-        _exists_match(e, y.entries, n_cmp) for e in y2.entries
-    )
+def rel_G(y, y2):
+    """Jump of binary-sequence equality on entry lists: every entry of each
+    side denotes the same sequence as some entry of the other."""
+    return _G_JUMP.decide(y, y2)
 
 
-def g_handle(n_cmp=DEFAULT_N_CMP):
-    return EqRelHandle("G", lambda y, y2: rel_G(y, y2, n_cmp))
+def g_handle():
+    return EqRelHandle("G", rel_G)
 
 
 def carve_pair(x, entry):

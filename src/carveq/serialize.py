@@ -25,6 +25,10 @@ _INT_RE = re.compile(r"-?\d+\Z")
 _POSINT_RE = re.compile(r"\d+\Z")
 _BITS_RE = re.compile(r"[01]+\Z")
 
+# Deepest tag nesting the parser accepts: parsing, printing, ordering and
+# hashing recurse once per level, so deeper input would overflow the stack.
+MAX_TAG_DEPTH = 100
+
 
 def atom_to_text(a):
     if isinstance(a, Rational):
@@ -170,7 +174,7 @@ class _Parser:
             self.error(f"expected a 0/1 string, found {tok!r}")
         return tok
 
-    def atom(self):
+    def atom(self, depth=0):
         kw = self.head()
         if kw == "rat":
             self.next()
@@ -181,7 +185,9 @@ class _Parser:
         if kw == "tag":
             self.next()
             bit = self.bit_token()
-            inner = self.atom()
+            if depth == MAX_TAG_DEPTH:
+                self.error(f"tags nested deeper than {MAX_TAG_DEPTH}")
+            inner = self.atom(depth + 1)
             self.expect(")")
             return Tag(bit, inner)
         if kw == "word":

@@ -9,22 +9,77 @@ import itertools
 
 from carveq import (
     AtomSet,
+    CycW,
     Cyclic,
+    FuzzConfig,
     PPoint,
+    PairMerge,
+    Pullback,
     Rational,
     YSeq,
+    ZCode,
     binseq_value_at,
     pullback,
+    stream,
     value_at,
 )
+from carveq.generators import gen_binseq
 
 R1, R2, R3, R4, R5, R6 = (Rational(i, 1) for i in range(1, 7))
 UNIVERSE3 = (R1, R2, R3)
+
+# The sequence 001001... as a word and as a pullback over pair-merge rows.
+WORD_001 = CycW("001")
+PULL_001 = pullback(
+    PairMerge(ZCode((Cyclic((R1, R3, R4)), Cyclic((R1, R2, R3)), Cyclic((R1, R2))))),
+    AtomSet.of(R3, R4),
+)
+
+# (seed, config) pairs under which 300 gen_binseq codes include words equal
+# to pullbacks.
+BINSEQ_SAMPLES = (
+    (5, FuzzConfig(cases=0, atom_universe=3, max_period=3, max_entries=3)),
+    (5, FuzzConfig(cases=0, atom_universe=2, max_period=3, max_entries=3)),
+)
+
+
+def binseq_sample(seed, cfg):
+    return [gen_binseq(stream(seed, i), cfg) for i in range(300)]
 
 
 def agree_below(u, v, bound):
     """Pointwise agreement of two binary-sequence codes below ``bound``."""
     return all(binseq_value_at(u, k) == binseq_value_at(v, k) for k in range(bound))
+
+
+def _root(seq):
+    """The shortest prefix of ``seq`` whose repetition gives ``seq``."""
+    n = len(seq)
+    for d in range(1, n + 1):
+        if n % d == 0 and seq[:d] * (n // d) == seq:
+            return seq[:d]
+
+
+def sequence_class(b):
+    """Normal form of the sequence a binary code denotes, from its row table.
+
+    Read through the pairing k = (i + j)(i + j + 1)/2 + j, the sequence is
+    a table of rows i, each a sequence in j.  A pullback's row i is the
+    indicator of its set along pair-merge row i mod s.  A word's cell (i, j)
+    is the word at k mod L; rows repeat with period 2L and each row with
+    period 2L.  Each row over one full period is cut to its primitive root,
+    then the row list to its own: equal sequences get equal normal forms,
+    whatever kind of code denotes them.
+    """
+    if isinstance(b, Pullback):
+        rows = [tuple(a in b.aset for a in row.entries) for row in b.base.z.entries]
+    else:
+        bits, n = b.word.bits, 2 * len(b.word.bits)
+        rows = [
+            tuple(bits[((i + j) * (i + j + 1) // 2 + j) % len(bits)] == "1" for j in range(n))
+            for i in range(n)
+        ]
+    return _root(tuple(_root(row) for row in rows))
 
 
 def forall_exists(left, right, rel):

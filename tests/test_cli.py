@@ -69,6 +69,9 @@ def test_count_rejects_bad_config(capsys):
     code, _, err = run(capsys, "count", "--n", "3", "--max-period", "2")
     assert code == 2
     assert "error" in err
+    code, out, err = run(capsys, "count", "--n", "5")
+    assert code == 2 and out == ""
+    assert "cap" in err
 
 
 def test_remark_needs_two_atoms(capsys):
@@ -114,6 +117,17 @@ def test_echo_errors(capsys):
     code, _, err = run(capsys, "echo", "(p (cyc (rat 1 1) (rat 1 1)) (ylist (cw 10)))")
     assert code == 2
     assert "ClauseViolation" in err
+
+
+def test_echo_rejects_deep_tags(capsys):
+    def nested(depth):
+        return "(tag 0 " * depth + "(rat 1 1)" + ")" * depth
+
+    code, out, _ = run(capsys, "echo", nested(100))
+    assert code == 0 and out.strip() == nested(100)
+    code, out, err = run(capsys, "echo", nested(3000))
+    assert code == 2 and out == ""
+    assert "parse error" in err and "nested deeper" in err
 
 
 def test_echo_reads_stdin(capsys, monkeypatch):

@@ -6,7 +6,6 @@ from carveq import (
     CycW,
     Cyclic,
     FuzzConfig,
-    IncomparableCodes,
     PairMerge,
     Pullback,
     Rational,
@@ -27,7 +26,16 @@ from carveq import (
 )
 from carveq.generators import gen_binseq, gen_rich_atom
 
-from helpers import R1, R2, agree_below
+from helpers import (
+    BINSEQ_SAMPLES,
+    PULL_001,
+    R1,
+    R2,
+    WORD_001,
+    agree_below,
+    binseq_sample,
+    sequence_class,
+)
 
 A, B = R1, R2
 Z_AB = ZCode((Cyclic((A,)), Cyclic((A, B))))
@@ -123,15 +131,31 @@ def test_binseq_eq_pullback_pullback_grid():
     assert not binseq_eq(u, w)
 
 
-def test_binseq_eq_mixed_raises_below_bound():
+def test_binseq_eq_mixed_exact():
     base = PairMerge(ZCode((Cyclic((A,)), Cyclic((B,)))))
     pb = pullback(base, AtomSet.of(A))
     # bits of pb at k=0..3 are 1,0,1,1; the word repeats them with period 4
     word = CycW("1011")
     assert agree_below(word, pb, 4)
-    with pytest.raises(IncomparableCodes):
-        binseq_eq(word, pb, n_cmp=4)
-    assert binseq_eq(word, pb, n_cmp=4096) is False
+    assert binseq_eq(word, pb) is False and binseq_eq(pb, word) is False
+    assert isinstance(PULL_001, Pullback)
+    assert binseq_eq(WORD_001, PULL_001) is True and binseq_eq(PULL_001, WORD_001) is True
+    assert agree_below(WORD_001, PULL_001, 5000)
+    for u, v in ((word, pb), (WORD_001, PULL_001)):
+        assert binseq_eq(u, v) == (sequence_class(u) == sequence_class(v))
+
+
+@pytest.mark.parametrize("seed, cfg", BINSEQ_SAMPLES)
+def test_binseq_eq_matches_row_table_oracle(seed, cfg):
+    codes = binseq_sample(seed, cfg)
+    names = [sequence_class(c) for c in codes]
+    mixed_equal = 0
+    for u, nu in zip(codes, names):
+        for v, nv in zip(codes, names):
+            verdict = binseq_eq(u, v)
+            assert verdict == (nu == nv), (u, v)
+            mixed_equal += verdict and isinstance(u, Pullback) != isinstance(v, Pullback)
+    assert mixed_equal > 0
 
 
 def test_binseq_eq_equivalence_on_comparables():
@@ -140,26 +164,16 @@ def test_binseq_eq_equivalence_on_comparables():
     for i in range(60):
         rng = stream(11, i)
         codes.append(gen_binseq(rng, cfg))
-    comparable = []
-    for u in codes:
-        for v in codes:
-            try:
-                binseq_eq(u, v)
-                comparable.append((u, v))
-            except IncomparableCodes:
-                pass
-    for u, v in comparable[:400]:
+    pairs = [(u, v) for u in codes for v in codes]
+    for u, v in pairs[:400]:
         assert binseq_eq(u, u) and binseq_eq(v, v)
         assert binseq_eq(u, v) == binseq_eq(v, u)
     rng = stream(12, 0)
     for _ in range(400):
-        u, v = comparable[rng.randrange(len(comparable))]
-        v2, w = comparable[rng.randrange(len(comparable))]
-        try:
-            if binseq_eq(u, v) and binseq_eq(v, w):
-                assert binseq_eq(u, w)
-        except IncomparableCodes:
-            pass
+        u, v = pairs[rng.randrange(len(pairs))]
+        v2, w = pairs[rng.randrange(len(pairs))]
+        if binseq_eq(u, v) and binseq_eq(v, w):
+            assert binseq_eq(u, w)
 
 
 def test_pullback_normalization():

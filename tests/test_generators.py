@@ -43,7 +43,7 @@ def test_fuzz_config_validation():
     assert FuzzConfig(cases=0).cases == 0
     with pytest.raises(ValueError):
         FuzzConfig(cases=-1)
-    for field in ("atom_universe", "max_period", "max_entries", "n_cmp"):
+    for field in ("atom_universe", "max_period", "max_entries"):
         with pytest.raises(ValueError):
             FuzzConfig(**{field: 0})
 

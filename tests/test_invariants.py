@@ -8,9 +8,9 @@ from carveq import (
     CycW,
     Cyclic,
     FuzzConfig,
-    IncomparableCodes,
     PPoint,
     PairMerge,
+    Pullback,
     ResourceLimit,
     SetOfAtomSets,
     YSeq,
@@ -24,6 +24,7 @@ from carveq import (
     fs2_invariant,
     g_invariant,
     jump,
+    primitive_root,
     pullback,
     rel_E,
     rel_F,
@@ -40,14 +41,19 @@ from carveq.generators import (
 )
 
 from helpers import (
+    BINSEQ_SAMPLES,
+    PULL_001,
     R1,
     R2,
     R3,
     R4,
     UNIVERSE3,
+    WORD_001,
+    binseq_sample,
     enumerate_points,
     naive_carve,
     partition_indexes,
+    sequence_class,
 )
 
 CFG = FuzzConfig(cases=0, atom_universe=4, max_period=5, max_entries=4)
@@ -148,11 +154,34 @@ def test_g_invariant_agreement_includes_pullbacks():
     for i, u in enumerate(entries):
         for v in entries[i:]:
             yu, yv = YSeq((u,)), YSeq((v,))
-            try:
-                verdict = rel_G(yu, yv)
-            except IncomparableCodes:
-                continue
-            assert (g_invariant(yu) == g_invariant(yv)) == verdict
+            assert (g_invariant(yu) == g_invariant(yv)) == rel_G(yu, yv)
+
+
+@pytest.mark.parametrize("seed, cfg", BINSEQ_SAMPLES)
+def test_g_invariant_matches_rel_g_on_oracle_samples(seed, cfg):
+    ys = [YSeq((c,)) for c in binseq_sample(seed, cfg)]
+    invariants = [g_invariant(y) for y in ys]
+    for y, gy in zip(ys, invariants):
+        for y2, gy2 in zip(ys, invariants):
+            assert (gy == gy2) == rel_G(y, y2), (y, y2)
+
+
+def test_g_invariant_names_word_equal_pullback_as_word():
+    assert isinstance(PULL_001, Pullback)
+    assert binseq_class_rep(PULL_001) == binseq_class_rep(WORD_001) == ("word", "001")
+    assert g_invariant(YSeq((PULL_001, CycW("1")))) == g_invariant(YSeq((CycW("1"), WORD_001)))
+
+
+def test_word_row_table_period():
+    """From the word side of binseq_class_rep's lemma: the row list of a
+    primitive word of length L has primitive period L (odd L) or 2L (even
+    L), so a pullback over s rows equal to it has L | s."""
+    for length in range(1, 11):
+        for bits in itertools.product("01", repeat=length):
+            word = "".join(bits)
+            if primitive_root(word) == word:
+                rows = len(sequence_class(CycW(word)))
+                assert rows == (length if length % 2 else 2 * length), word
 
 
 def test_count_classes_closed_forms():
@@ -178,6 +207,30 @@ def test_count_classes_validation_and_cap():
         count_classes("X", 2)
     with pytest.raises(ResourceLimit):
         count_classes("E", 3, cap=50)
+
+
+def test_count_classes_refuses_before_enumerating(monkeypatch):
+    from carveq import invariants
+
+    def started(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(invariants._Budget, "spend", started)
+    monkeypatch.setattr(invariants, "atom_universe", started)
+    with pytest.raises(ResourceLimit):
+        count_classes("E", 5)  # 2,147,648,827 candidate families
+    with pytest.raises(ResourceLimit):
+        count_classes("F", 3, max_period=14)  # 3 + 9 + ... + 3^14 codes
+    with pytest.raises(ResourceLimit):
+        count_classes("F", 10**9)
+    # the closed forms are exact: a cap one below the step count refuses
+    with pytest.raises(ResourceLimit):
+        count_classes("E", 3, cap=150)
+    with pytest.raises(ResourceLimit):
+        count_classes("F", 3, cap=38)
+    monkeypatch.undo()
+    assert count_classes("E", 3, cap=151) == 127
+    assert count_classes("F", 3, cap=39) == 7
 
 
 def test_f_invariant_separates_exhaustively():

@@ -9,7 +9,6 @@ from carveq import (
     DomainViolation,
     F_REL,
     FuzzConfig,
-    IncomparableCodes,
     PPoint,
     PairMerge,
     ReductionRecord,
@@ -201,7 +200,7 @@ def test_g_to_f_examples():
     assert g_to_f(y) == Cyclic((WordAtom("10"), WordAtom("10")))
     assert not rel_F(g_to_f(YSeq((CycW("1"),))), g_to_f(YSeq((CycW("0"),))))
     base = PairMerge(ZCode((Cyclic((R1,)), Cyclic((R2,)))))
-    with pytest.raises(IncomparableCodes):
+    with pytest.raises(StructuralMismatch):
         g_to_f(YSeq((pullback(base, AtomSet.of(R1)),)))
 
 

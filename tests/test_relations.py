@@ -12,7 +12,6 @@ from carveq import (
     E_REL,
     F_REL,
     FuzzConfig,
-    IncomparableCodes,
     PPoint,
     PairMerge,
     StructuralMismatch,
@@ -43,10 +42,12 @@ from carveq.generators import (
 )
 
 from helpers import (
+    PULL_001,
     R1,
     R2,
     R3,
     R4,
+    WORD_001,
     forall_exists,
     naive_carve,
     naive_clause3_ok,
@@ -130,15 +131,13 @@ def test_rel_g_examples():
     assert rel_G(y1, y1)
 
 
-def test_rel_g_propagates_incomparable():
-    base = PairMerge(ZCode((Cyclic((R1,)), Cyclic((R2,)))))
-    pb = pullback(base, AtomSet.of(R1))
-    mixed = YSeq((CycW("1011"),))
-    other = YSeq((pb,))
-    with pytest.raises(IncomparableCodes):
-        rel_G(mixed, other, n_cmp=4)
-    # a decidable disagreement elsewhere cannot rescue the unknown entry
-    assert rel_G(mixed, other) is False  # default bound finds the disagreement
+def test_rel_g_word_equal_to_pullback():
+    assert rel_G(YSeq((WORD_001,)), YSeq((PULL_001,))) is True
+    assert rel_G(YSeq((WORD_001, CycW("1"))), YSeq((CycW("1"), PULL_001, WORD_001))) is True
+    assert rel_G(YSeq((WORD_001,)), YSeq((PULL_001, CycW("0")))) is False
+    # bits of pb at k=0..3 are 1,0,1,1, as are the word's; they differ later
+    pb = pullback(PairMerge(ZCode((Cyclic((R1,)), Cyclic((R2,))))), AtomSet.of(R1))
+    assert rel_G(YSeq((CycW("1011"),)), YSeq((pb,))) is False
 
 
 def test_carve_display_point():
