@@ -10,6 +10,11 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+# Deepest Tag nesting that the constructor and the parser accept: parsing,
+# printing, ordering and hashing recurse once per level, so deeper atoms
+# would overflow the stack.
+MAX_TAG_DEPTH = 100
+
 
 def primitive_root(seq):
     """Shortest prefix whose repetition equals ``seq``.
@@ -74,6 +79,11 @@ class Tag:
     def __post_init__(self):
         if self.bit not in (0, 1):
             raise ValueError("bit must be 0 or 1")
+        depth, inner = 1, self.inner
+        while isinstance(inner, Tag):
+            depth, inner = depth + 1, inner.inner
+        if depth > MAX_TAG_DEPTH:
+            raise ValueError(f"tags nested deeper than {MAX_TAG_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,7 @@ class AtomSet:
         return AtomSet(self.elements + other.elements)
 
     def intersection(self, other):
-        return AtomSet(tuple(a for a in self.elements if a in other.elements))
+        return AtomSet._trusted(tuple(a for a in self.elements if a in other.elements))
 
     def issubset(self, other):
         return all(a in other.elements for a in self.elements)
@@ -156,3 +166,16 @@ class AtomSet:
     @staticmethod
     def of(*atoms):
         return AtomSet(tuple(atoms))
+
+    @classmethod
+    def _trusted(cls, elements):
+        """Wrap ``elements`` without validating or sorting them.
+
+        Only for tuples that are canonical by construction: atoms, sorted by
+        the atom order, duplicate-free.  A subsequence of a canonical tuple
+        is one (order and distinctness survive dropping elements), so any
+        filter of another set's ``elements`` qualifies.
+        """
+        aset = object.__new__(cls)
+        object.__setattr__(aset, "elements", elements)
+        return aset

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .atoms import AtomSet, CyclicWord, Rational, atom_sort_key, primitive_root
 from .codes import CycW, Cyclic, Pullback, YSeq, binseq_eq, binseq_value_at, pullback, range_set
 from .errors import ResourceLimit
-from .relations import PPoint, carve
+from .relations import PPoint
 
 
 def atomset_sort_key(s):
@@ -48,8 +48,9 @@ def f_invariant(x):
 
 
 def e_invariant(p):
-    """Complete invariant for carve-family equality, in canonical storage."""
-    return SetOfAtomSets(tuple(carve(p, n) for n in range(len(p.y.entries))))
+    """Complete invariant for carve-family equality, in canonical storage:
+    the point's carves, as computed by its validation."""
+    return SetOfAtomSets(p.carves)
 
 
 def fs2_invariant(z):
@@ -152,7 +153,11 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
     and finite: entry order and multiplicity never change the family (set
     semantics), so families are enumerated as sets, and the reachable
     families depend on x only through range(x), so one sorted enumeration
-    per nonempty range suffices.  The universe is fixed: maps that mint
+    per nonempty range suffices.  Per base x, the pullback of each subset is
+    built once, and families whose subsets do not cover range(x) are pruned
+    on bitmasks over x's atoms; every covering family is still built as a
+    YSeq of those real pullback codes, validated as a PPoint and
+    deduplicated by e_invariant.  The universe is fixed: maps that mint
     fresh atoms (tagging, word atoms) fall outside these counts, which
     illustrate growth under the jump rather than prove non-reducibility.
     Raises ResourceLimit, before enumerating, when the step count exceeds
@@ -181,19 +186,21 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
     for r in range(1, n + 1):
         for base_atoms in itertools.combinations(universe, r):
             x = Cyclic(base_atoms)
-            subsets = [
-                AtomSet(sub)
-                for size in range(1, r + 1)
-                for sub in itertools.combinations(base_atoms, size)
+            subsets = range(1, 2**r)  # as bitmasks over base_atoms
+            codes = [
+                pullback(x, AtomSet(tuple(a for i, a in enumerate(base_atoms) if s >> i & 1)))
+                for s in subsets
             ]
-            for mask in range(1, 2 ** len(subsets)):
+            full = 2**r - 1
+            # covers[f]: union of the subsets in family f (a bitmask over
+            # subsets); f without its lowest subset is a smaller family.
+            covers = [0] * 2 ** len(subsets)
+            for family in range(1, len(covers)):
                 budget.spend()
-                family = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
-                covered = AtomSet(())
-                for aset in family:
-                    covered = covered.union(aset)
-                if len(covered) != r:
+                low = (family & -family).bit_length() - 1
+                covers[family] = covers[family & (family - 1)] | subsets[low]
+                if covers[family] != full:
                     continue
-                y = YSeq(tuple(pullback(x, aset) for aset in family))
+                y = YSeq(tuple(codes[i] for i in range(len(codes)) if family >> i & 1))
                 seen.add(e_invariant(PPoint(x, y)))
     return len(seen)

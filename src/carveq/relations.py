@@ -8,7 +8,7 @@ the closed code algebra.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .atoms import AtomSet, atom_eq
@@ -97,14 +97,39 @@ def g_handle():
     return EqRelHandle("G", rel_G)
 
 
+def _word_carve(x, word):
+    """Carve of a word over a cyclic x, with the first clause (3) witness.
+
+    One scan of positions below lcm(period(x), period(word)): both
+    m -> x(m) and the bit at m are periodic with that modulus, so the scan
+    is exhaustive.  The carve is the set of values seen with bit 1.  The
+    witness is (at, pos) for the first position pos whose value was first
+    seen at ``at`` with the other bit, or None when equal values always
+    carry equal bits.
+    """
+    entries, bits = x.entries, word.bits
+    first_seen = {}
+    ones = set()
+    clash = None
+    for pos in range(math.lcm(len(entries), len(bits))):
+        val = entries[pos % len(entries)]
+        bit = bits[pos % len(bits)]
+        if bit == "1":
+            ones.add(val)
+        at, b0 = first_seen.setdefault(val, (pos, bit))
+        if b0 != bit and clash is None:
+            clash = (at, pos)
+    return AtomSet(tuple(ones)), clash
+
+
 def carve_pair(x, entry):
     """Subset of range(x) carved out by one binary-sequence entry.
 
-    Word entry over a cyclic x: scan positions below lcm(period(x),
-    period(word)); both m -> x(m) and the bit at m are periodic with that
-    modulus, so the scan is exhaustive.  Constant words carve everything or
-    nothing over any base.  A pullback entry must sit over this very x; its
-    stored set (already clipped to the base range) is the carve.
+    Word entry over a cyclic x: the values seen with bit 1 in one scan
+    below lcm(period(x), period(word)) (:func:`_word_carve`).  Constant
+    words carve everything or nothing over any base.  A pullback entry must
+    sit over this very x; its stored set (already clipped to the base
+    range) is the carve.
     """
     if isinstance(entry, Pullback):
         if entry.base != x:
@@ -116,13 +141,13 @@ def carve_pair(x, entry):
         return range_set(x) if entry.word.bits == "1" else AtomSet(())
     if not isinstance(x, Cyclic):
         raise StructuralMismatch("non-constant word entry over a pair-merge base")
-    span = math.lcm(len(x.entries), len(entry.word))
-    return AtomSet(
-        tuple(x.entries[m % len(x.entries)] for m in range(span) if entry.word.bit_at(m))
-    )
+    return _word_carve(x, entry.word)[0]
 
 
 def _validate_membership(x, y):
+    """Check clause (3), then (2), then (1), each over all entries, and
+    raise the first violation; return the carves of y's entries in entry
+    order."""
     if not isinstance(x, (Cyclic, PairMerge)):
         raise TypeError(f"not an atom-sequence code: {x!r}")
     if not isinstance(y, YSeq):
@@ -137,40 +162,31 @@ def _validate_membership(x, y):
 
     # Clause (3): equal values of x force equal bits at those positions.
     # Pullback entries satisfy it structurally (the bit is a function of the
-    # value); constant words trivially; for a word entry over a cyclic x both
-    # sides are periodic with lcm(period(x), period(word)), so positions below
-    # that modulus exhaust all cases.
-    for k, entry in enumerate(y.entries):
-        if not isinstance(entry, CycW) or entry.word.is_constant():
-            continue
-        if isinstance(x, Cyclic):
-            span = math.lcm(len(x.entries), len(entry.word))
-            first_seen = {}
-            for pos in range(span):
-                val = x.entries[pos % len(x.entries)]
-                bit = entry.word.bit_at(pos)
-                if val in first_seen:
-                    at, b0 = first_seen[val]
-                    if b0 != bit:
-                        raise ClauseViolation(3, (k, at, pos))
-                else:
-                    first_seen[val] = (pos, bit)
-
-    # Clause (2): every carved set is nonempty.
+    # value) and constant words trivially; a non-constant word entry (over a
+    # cyclic x, by the check above) is decided by the scan that carves it.
     carves = []
     for k, entry in enumerate(y.entries):
-        aset = carve_pair(x, entry)
-        if len(aset) == 0:
-            raise ClauseViolation(2, (k,))
+        if isinstance(entry, CycW) and not entry.word.is_constant():
+            aset, clash = _word_carve(x, entry.word)
+            if clash is not None:
+                raise ClauseViolation(3, (k, *clash))
+        else:
+            aset = carve_pair(x, entry)
         carves.append(aset)
 
+    # Clause (2): every carved set is nonempty.
+    for k, aset in enumerate(carves):
+        if len(aset) == 0:
+            raise ClauseViolation(2, (k,))
+
     # Clause (1): every enumerated value is carved by some entry.
-    covered = AtomSet(())
+    covered = set()
     for aset in carves:
-        covered = covered.union(aset)
+        covered.update(aset.elements)
     for m in range(saturation_bound(x)):
         if value_at(x, m) not in covered:
             raise ClauseViolation(1, (m,))
+    return tuple(carves)
 
 
 @dataclass(frozen=True)
@@ -180,14 +196,18 @@ class PPoint:
     subsets out of the set enumerated by x.
 
     Construction is the only gate: a PPoint in hand is always valid, so
-    relation decisions downstream have vacuous preconditions.
+    relation decisions downstream have vacuous preconditions.  Validation
+    computes the carve of every entry, and the point keeps them, in entry
+    order, in ``carves``; that field is derived from (x, y), so it takes no
+    part in equality, hashing or the printed form.
     """
 
     x: object
     y: YSeq
+    carves: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_membership(self.x, self.y)
+        object.__setattr__(self, "carves", _validate_membership(self.x, self.y))
 
 
 def p_membership(x, y):
@@ -199,13 +219,12 @@ def p_membership(x, y):
 def carve(p, n):
     """The n-th carved subset; indices beyond the entry list reduce mod its
     length, matching the cyclic completion of y."""
-    entries = p.y.entries
-    return carve_pair(p.x, entries[n % len(entries)])
+    return p.carves[n % len(p.carves)]
 
 
 def carve_family(p):
     """All carved subsets of a point, as a hashable set of sets."""
-    return frozenset(carve(p, n) for n in range(len(p.y.entries)))
+    return frozenset(p.carves)
 
 
 def rel_E(p, q):

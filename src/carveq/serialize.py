@@ -17,17 +17,13 @@ identity on canonical values.
 
 import re
 
-from .atoms import AtomSet, Rational, Tag, WordAtom
+from .atoms import MAX_TAG_DEPTH, AtomSet, Rational, Tag, WordAtom
 from .codes import CycW, Cyclic, PairMerge, Pullback, YSeq, ZCode, pullback
 from .errors import ParseError
 
 _INT_RE = re.compile(r"-?\d+\Z")
 _POSINT_RE = re.compile(r"\d+\Z")
 _BITS_RE = re.compile(r"[01]+\Z")
-
-# Deepest tag nesting the parser accepts: parsing, printing, ordering and
-# hashing recurse once per level, so deeper input would overflow the stack.
-MAX_TAG_DEPTH = 100
 
 
 def atom_to_text(a):

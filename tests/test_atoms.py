@@ -12,6 +12,8 @@ from carveq import (
     atom_sort_key,
     primitive_root,
 )
+from carveq.atoms import MAX_TAG_DEPTH
+from carveq.serialize import atom_to_text, parse_atom
 
 rationals = st.builds(Rational, st.integers(-50, 50), st.integers(1, 30))
 words = st.builds(WordAtom, st.text(alphabet="01", min_size=1, max_size=8))
@@ -36,6 +38,20 @@ def test_tag_distinct_bits():
     assert not atom_eq(Tag(0, Rational(1, 1)), Tag(1, Rational(1, 1)))
     with pytest.raises(ValueError):
         Tag(2, Rational(1, 1))
+
+
+def test_tag_depth_cap_through_the_api():
+    deep = Rational(1, 1)
+    for _ in range(MAX_TAG_DEPTH):
+        deep = Tag(1, deep)
+    assert parse_atom(atom_to_text(deep)) == deep
+    assert len(AtomSet.of(deep, Rational(2))) == 2
+    with pytest.raises(ValueError):
+        Tag(0, deep)
+    # a 3,000-deep chain stops at the cap instead of recursing later
+    with pytest.raises(ValueError):
+        for _ in range(3000):
+            deep = Tag(1, deep)
 
 
 def test_word_atom_canonicalizes():
@@ -90,6 +106,19 @@ def test_atom_set_canonical_storage():
     assert s1 == s2
     assert len(s1) == 2
     assert list(s1) == sorted(s1, key=atom_sort_key)
+
+
+@given(
+    st.lists(atoms, max_size=8),
+    st.lists(atoms, max_size=8),
+    st.lists(st.booleans(), max_size=8),
+)
+def test_intersection_is_canonical(xs, ys, shared):
+    a = AtomSet(tuple(xs))
+    b = AtomSet(tuple(ys) + tuple(x for x, keep in zip(xs, shared) if keep))
+    meet = a.intersection(b)
+    assert meet.elements == AtomSet(meet.elements).elements
+    assert set(meet) == set(a) & set(b)
 
 
 def test_atom_set_operations():

@@ -187,8 +187,32 @@ def test_word_row_table_period():
 def test_count_classes_closed_forms():
     assert [count_classes("F", n) for n in (1, 2, 3)] == [1, 3, 7]
     assert [count_classes("E", n) for n in (1, 2, 3)] == [1, 7, 127]
+    assert count_classes("E", 4) == closed_form("E", 4) == 32767
     assert all(closed_form("F", n) == 2**n - 1 for n in (1, 2, 3))
     assert all(closed_form("E", n) == 2 ** (2**n - 1) - 1 for n in (1, 2, 3))
+
+
+def test_count_classes_e_goes_through_real_points(monkeypatch):
+    from carveq import invariants
+
+    calls = {"pullback": 0, "point": 0}
+
+    def counted_pullback(x, aset):
+        calls["pullback"] += 1
+        return pullback(x, aset)
+
+    def counted_point(x, y):
+        calls["point"] += 1
+        assert all(isinstance(e, (CycW, Pullback)) for e in y.entries)
+        return PPoint(x, y)
+
+    monkeypatch.setattr(invariants, "pullback", counted_pullback)
+    monkeypatch.setattr(invariants, "PPoint", counted_point)
+    assert count_classes("E", 3) == 127
+    # one pullback per nonempty subset per base: sum_r C(3, r)(2^r - 1)
+    assert calls["pullback"] == 3 * 1 + 3 * 3 + 1 * 7
+    # every covering family is one validated point, and each is its own class
+    assert calls["point"] == 127
 
 
 def test_count_classes_monotone():

@@ -14,10 +14,12 @@ from carveq import (
     FuzzConfig,
     PPoint,
     PairMerge,
+    Pullback,
     StructuralMismatch,
     YSeq,
     ZCode,
     carve,
+    carve_family,
     carve_pair,
     g_handle,
     jump,
@@ -40,6 +42,8 @@ from carveq.generators import (
     gen_yseq_words,
     gen_zcode,
 )
+from carveq.reductions import embed_fs2
+from carveq.serialize import ppoint_to_text
 
 from helpers import (
     PULL_001,
@@ -215,6 +219,39 @@ def test_p_membership_clause3_witness():
         p_membership(Cyclic((R1, R1)), YSeq((CycW("10"),)))
     assert err.value.clause == 3
     assert err.value.witness == (0, 0, 1)
+
+
+def test_p_membership_clause3_before_clause2():
+    # entry 0 carves nothing, entry 1 breaks clause (3): all of (3) is
+    # checked first, with the witness of the word scan
+    with pytest.raises(ClauseViolation) as err:
+        p_membership(Cyclic((R1, R1, R1)), YSeq((CycW("0"), CycW("100"))))
+    assert err.value.clause == 3
+    assert err.value.witness == (1, 0, 1)  # the first clash; (1, 0, 2) is the next
+
+
+def test_validation_carves_match_carve_pair():
+    points = []
+    for seed in (3, 17, 101):
+        for i in range(60):
+            rng = stream(seed, i)
+            points.append(gen_ppoint(rng, CFG)[0])
+            points.extend(gen_infiber_pair(rng, CFG)[:2])
+            points.append(embed_fs2(gen_zcode(rng, CFG.universe(), CFG.max_period, CFG.max_entries)))
+    assert any(isinstance(e, Pullback) for p in points for e in p.y.entries)
+    for p in points:
+        assert p.carves == tuple(carve_pair(p.x, e) for e in p.y.entries)
+        assert carve_family(p) == frozenset(p.carves)
+
+
+def test_carves_outside_equality_and_text():
+    p, q = PPoint(DISPLAY_X, DISPLAY_Y), PPoint(DISPLAY_X, DISPLAY_Y)
+    assert p == q and p is not q
+    assert hash(p) == hash(q) == hash((DISPLAY_X, DISPLAY_Y))
+    assert "carves" not in repr(p)
+    assert ppoint_to_text(p) == (
+        "(p (cyc (rat 1 1) (rat 2 1) (rat 3 1) (rat 4 1)) (ylist (cw 0011) (cw 1110) (cw 01)))"
+    )
 
 
 def test_p_membership_clause1():
