@@ -42,7 +42,6 @@ from .errors import (
     CarveqError,
     ClauseViolation,
     DomainViolation,
-    NoWitness,
     ParseError,
     ResourceLimit,
     StructuralMismatch,
@@ -64,7 +63,6 @@ from .invariants import (
 from .pairing import cantor_pair, cantor_unpair
 from .reductions import (
     ChainReport,
-    LinkResult,
     ReductionRecord,
     VerificationReport,
     Violation,
@@ -90,7 +88,6 @@ from .relations import (
     carve_pair,
     g_handle,
     jump,
-    p_membership,
     product,
     rel_E,
     rel_F,

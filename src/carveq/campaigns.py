@@ -6,31 +6,12 @@ another, and reports every disagreement.
 """
 
 from .atoms import AtomSet
-from .codes import Cyclic, YSeq, ZCode, binseq_eq, iota, pullback, range_set
-from .generators import (
-    gen_covering_family,
-    gen_cyclic_pair,
-    gen_infiber_pair,
-    gen_ppoint,
-    gen_subset,
-    gen_yseq_pair,
-    gen_zcode_pair,
-    realize_ppoint,
-    stream,
-)
+from .codes import Cyclic, YSeq, binseq_eq, iota, pullback, range_set
+from .generators import gen_covering_family, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream
 from .invariants import e_invariant, fs2_invariant
-from .reductions import (
-    VerificationReport,
-    Violation,
-    canonical_basepoint,
-    const_jump_embedding,
-    embed_fs2,
-    fiber_reduction,
-    g_to_f,
-    pair_interleave,
-)
-from .relations import ATOM_EQ, F_REL, PPoint, carve, jump, rel_E, rel_F, rel_G
-from .serialize import ppoint_to_text
+from .reductions import VerificationReport, Violation, canonical_basepoint, check_sampled, fiber_reduction
+from .relations import PPoint, carve, rel_E, rel_F, rel_G
+from .serialize import ppoint_to_text, to_text
 
 
 def _cyclic_point(rng, cfg):
@@ -170,84 +151,52 @@ def campaign_remark(cfg):
     return report
 
 
+def _registered(target, cfg, *names, image_check=None):
+    """check_reduction on each named registry entry, merged into one report."""
+    report = VerificationReport(name=f"verify:{target}")
+    for name in names:
+        part = check_sampled(name, cfg, image_check=image_check)
+        report.checked += part.checked
+        report.violations += part.violations
+    return report
+
+
 def campaign_embed(cfg):
     """Row codes relate under the double jump exactly when their embedded
     points relate, and the embedded carve family equals the row-range family."""
-    report = VerificationReport(name="verify:embed")
-    double_jump = jump(jump(ATOM_EQ))
-    for i in range(cfg.cases):
-        rng = stream(cfg.seed, i)
-        z, z2 = gen_zcode_pair(rng, cfg)
-        p, p2 = embed_fs2(z), embed_fs2(z2)
-        truth = double_jump.decide(z, z2)
-        image = rel_E(p, p2)
-        report.checked += 1
-        if truth != image:
-            report.violations.append(Violation(i, "iff failed", truth, image))
-        for zc, pt in ((z, p), (z2, p2)):
-            if e_invariant(pt) != fs2_invariant(zc):
-                report.violations.append(
-                    Violation(i, "embedded carve family differs from row-range family", "fs2", "e")
-                )
-    return report
+
+    def same_family(z, p):
+        if e_invariant(p) != fs2_invariant(z):
+            return f"embedded carve family differs from row-range family: {to_text(z)}", "fs2", "e"
+
+    return _registered("embed", cfg, "fs2_to_e", image_check=same_family)
 
 
 def campaign_interleave(cfg):
     """Product relatedness of two cyclic pairs coincides with range equality
-    of their interleavings; tagging stays injective."""
-    report = VerificationReport(name="verify:interleave")
-    for i in range(cfg.cases):
-        rng = stream(cfg.seed, i)
-        x, x2 = gen_cyclic_pair(rng, cfg)
-        y, y2 = gen_cyclic_pair(rng, cfg)
-        truth = rel_F(x, x2) and rel_F(y, y2)
-        image = rel_F(pair_interleave(x, y), pair_interleave(x2, y2))
-        report.checked += 1
-        if truth != image:
-            report.violations.append(Violation(i, "iff failed", truth, image))
-        a, b = rng.choice(cfg.universe()), rng.choice(cfg.universe())
-        if (iota(a, 0) == iota(b, 0)) != (a == b) or iota(a, 0) == iota(a, 1):
-            report.violations.append(Violation(i, "tagging is not injective", a, b))
+    of their interleavings; tagging is injective on universe x {0, 1}."""
+    report = _registered("interleave", cfg, "fxf_to_f")
+    seen = {}
+    for a in cfg.universe():
+        for bit in (0, 1):
+            b, bit_b = seen.setdefault(iota(a, bit), (a, bit))
+            if (b, bit_b) != (a, bit):
+                report.violations.append(
+                    Violation(-1, "tagging is not injective", f"{to_text(b)} {bit_b}", f"{to_text(a)} {bit}")
+                )
     return report
 
 
 def campaign_gtof(cfg):
     """Relatedness of word-entry sequences under the jump coincides with
     range equality of their word-atom images."""
-    report = VerificationReport(name="verify:gtof")
-    for i in range(cfg.cases):
-        rng = stream(cfg.seed, i)
-        y, y2 = gen_yseq_pair(rng, cfg)
-        truth = rel_G(y, y2)
-        image = rel_F(g_to_f(y), g_to_f(y2))
-        report.checked += 1
-        if truth != image:
-            report.violations.append(Violation(i, "iff failed", truth, image))
-    return report
+    return _registered("gtof", cfg, "g_to_f")
 
 
 def campaign_constjump(cfg):
     """One-entry sequences embed any relation into its jump: checked at the
     atom level and at the cyclic-code level."""
-    report = VerificationReport(name="verify:constjump")
-    atom_record = const_jump_embedding(ATOM_EQ)
-    code_record = const_jump_embedding(F_REL, wrap=ZCode)
-    for i in range(cfg.cases):
-        rng = stream(cfg.seed, i)
-        a = rng.choice(cfg.universe())
-        b = a if rng.coin() else rng.choice(cfg.universe())
-        truth = a == b
-        image = atom_record.target.decide(atom_record.map(a), atom_record.map(b))
-        report.checked += 1
-        if truth != image:
-            report.violations.append(Violation(i, "atom-level iff failed", truth, image))
-        c, c2 = gen_cyclic_pair(rng, cfg)
-        truth2 = rel_F(c, c2)
-        image2 = code_record.target.decide(code_record.map(c), code_record.map(c2))
-        report.checked += 1
-        if truth2 != image2:
-            report.violations.append(Violation(i, "code-level iff failed", truth2, image2))
-    return report
+    return _registered("constjump", cfg, "const[eq]", "const[F]")
 
 
 CAMPAIGNS = {

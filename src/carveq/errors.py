@@ -24,10 +24,6 @@ class DomainViolation(CarveqError):
     """A value was passed to a relation handle outside its declared domain."""
 
 
-class NoWitness(CarveqError):
-    """No index witnessing a required value exists; a precondition was violated."""
-
-
 class TypeMismatch(CarveqError):
     """Reduction records whose endpoint relations do not line up."""
 

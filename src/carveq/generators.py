@@ -192,6 +192,12 @@ def gen_cyclic_pair(rng, cfg):
     return x, gen_cyclic(rng, cfg.universe(), cfg.max_period)
 
 
+def gen_atom_pair(rng, cfg):
+    """Pair of universe atoms; about half the time the second repeats the first."""
+    a = rng.choice(cfg.universe())
+    return a, (a if rng.coin() else rng.choice(cfg.universe()))
+
+
 def gen_zcode_pair(rng, cfg):
     """Pair of row codes; about half the time the second permutes and
     duplicates rows of the first (same row-range family by construction)."""

@@ -23,7 +23,8 @@ from .codes import (
     saturation_bound,
     value_at,
 )
-from .errors import CarveqError, DomainViolation, NoWitness, StructuralMismatch, TypeMismatch
+from .errors import CarveqError, DomainViolation, StructuralMismatch, TypeMismatch
+from .generators import gen_atom_pair, gen_cyclic_pair, gen_yseq_pair, gen_zcode_pair, stream
 from .relations import ATOM_EQ, E_REL, F_REL, EqRelHandle, PPoint, g_handle, jump, product, rel_F
 
 
@@ -67,9 +68,10 @@ def fiber_reduction(x0):
     binary-sequence equality.
 
     Output entry n is a word of one x0-period: bit k is y(n) at any witness
-    index k' with x(k') = x0(k).  A witness below saturation_bound(x) exists
-    because the fiber condition forces range(x) to cover every x0(k), and
-    clause (3) makes every witness give the same bit, so the first is taken.
+    index k' with x(k') = x0(k).  One scan below saturation_bound(x) keeps
+    the first index of every value of x; the fiber condition makes range(x)
+    cover every x0(k), so each has a witness, and clause (3) makes every
+    witness give the same bit.
     """
     if not isinstance(x0, Cyclic):
         raise StructuralMismatch("fiber basepoints must be cyclic codes")
@@ -78,20 +80,16 @@ def fiber_reduction(x0):
     def fmap(p):
         if not isinstance(p, PPoint) or not rel_F(p.x, x0):
             raise DomainViolation("point outside the fiber of the basepoint")
-        bound = saturation_bound(p.x)
-        out = []
-        for entry in p.y.entries:
-            bits = []
-            for k in range(len(x0.entries)):
-                target = x0.entries[k]
-                for kp in range(bound):
-                    if value_at(p.x, kp) == target:
-                        bits.append("1" if binseq_value_at(entry, kp) else "0")
-                        break
-                else:
-                    raise NoWitness(f"no index of x takes the value x0({k})")
-            out.append(CycW(CyclicWord("".join(bits))))
-        return YSeq(tuple(out))
+        first = {}
+        for kp in range(saturation_bound(p.x)):
+            first.setdefault(value_at(p.x, kp), kp)
+        witnesses = [first[target] for target in x0.entries]
+        return YSeq(
+            tuple(
+                CycW(CyclicWord("".join("1" if binseq_value_at(entry, kp) else "0" for kp in witnesses)))
+                for entry in p.y.entries
+            )
+        )
 
     from .serialize import aseq_to_text
 
@@ -121,6 +119,8 @@ def embed_fs2(z):
 
 
 def embed_fs2_record():
+    """The double-jump embedding: row codes under the jump of the jump of
+    atom equality (see :func:`relations.jump`) into E."""
     return ReductionRecord(
         name="fs2_to_e", source=jump(jump(ATOM_EQ)), target=E_REL, map=embed_fs2
     )
@@ -143,15 +143,6 @@ def pair_interleave(x, y):
     return Cyclic(tuple(out))
 
 
-def interleave_record():
-    return ReductionRecord(
-        name="fxf_to_f",
-        source=product(F_REL, F_REL),
-        target=F_REL,
-        map=lambda xy: pair_interleave(xy[0], xy[1]),
-    )
-
-
 def g_to_f(y):
     """Map a sequence of word entries to the cyclic code of their word atoms;
     class sets of entries become range sets of atoms."""
@@ -163,23 +154,52 @@ def g_to_f(y):
     return Cyclic(tuple(atoms))
 
 
-def gxf_record():
-    return ReductionRecord(
-        name="fxg_to_fxf",
-        source=product(F_REL, g_handle()),
-        target=product(F_REL, F_REL),
-        map=lambda xy: (xy[0], g_to_f(xy[1])),
-    )
-
-
 def const_jump_embedding(e, wrap=Cyclic):
-    """Points map to one-entry sequences; the class set of a singleton list
-    is the singleton of the point's class, so the jump relates images exactly
-    when the points relate.  ``wrap`` picks the sequence type of the image
+    """Embedding of ``e`` into its jump (see :func:`relations.jump`): points
+    map to one-entry sequences; the class set of a singleton list is the
+    singleton of the point's class, so the jump relates images exactly when
+    the points relate.  ``wrap`` picks the sequence type of the image
     (Cyclic for atoms, ZCode for cyclic codes)."""
     return ReductionRecord(
         name=f"const[{e.name}]", source=e, target=jump(e), map=lambda v: wrap((v,))
     )
+
+
+def _product_sampler(first, second):
+    """Pairs of product points: one pair from each coordinate's sampler."""
+
+    def sample(rng, cfg):
+        (x, x2), (y, y2) = first(rng, cfg), second(rng, cfg)
+        return (x, y), (x2, y2)
+
+    return sample
+
+
+def sampled_reductions():
+    """The registry of sampled reductions: name -> (record, pair sampler).
+
+    ``sampler(rng, cfg)`` draws one pair of source points.  The ``verify``
+    targets embed, interleave, gtof and constjump and every implemented
+    chain link check these entries through :func:`check_sampled`.  The table
+    is built on each call from the current module bindings, so a rebound
+    name (a test double, the benchmark's tracer) reaches every entry.
+    """
+    fxf = product(F_REL, F_REL)
+    entries = (
+        (embed_fs2_record(), gen_zcode_pair),
+        (
+            ReductionRecord("fxg_to_fxf", product(F_REL, g_handle()), fxf, lambda xy: (xy[0], g_to_f(xy[1]))),
+            _product_sampler(gen_cyclic_pair, gen_yseq_pair),
+        ),
+        (
+            ReductionRecord("fxf_to_f", fxf, F_REL, lambda xy: pair_interleave(xy[0], xy[1])),
+            _product_sampler(gen_cyclic_pair, gen_cyclic_pair),
+        ),
+        (ReductionRecord("g_to_f", g_handle(), F_REL, g_to_f), gen_yseq_pair),
+        (const_jump_embedding(ATOM_EQ), gen_atom_pair),
+        (const_jump_embedding(F_REL, wrap=ZCode), gen_cyclic_pair),
+    )
+    return {record.name: (record, sampler) for record, sampler in entries}
 
 
 def _describe(value):
@@ -238,11 +258,14 @@ class VerificationReport:
         }
 
 
-def check_reduction(record, pairs):
+def check_reduction(record, pairs, image_check=None):
     """Evaluate the defining equivalence on every supplied pair.
 
     Each disagreement (or per-pair domain error) is recorded with both
-    verdicts; an empty violation list is a pass.
+    verdicts; an empty violation list is a pass.  ``image_check(point,
+    image)``, when given, runs on both points of every pair and returns
+    None or the (detail, source_verdict, target_verdict) of a violation;
+    it adds no checked case.
     """
     report = VerificationReport(name=record.name)
     for idx, (a, b) in enumerate(pairs):
@@ -251,6 +274,7 @@ def check_reduction(record, pairs):
             src = record.source.relates(a, b)
             fa, fb = record.map(a), record.map(b)
             tgt = record.target.relates(fa, fb)
+            found = () if image_check is None else (image_check(a, fa), image_check(b, fb))
         except CarveqError as err:
             report.violations.append(
                 Violation(idx, f"{type(err).__name__}: {err}", "error", "error")
@@ -265,23 +289,42 @@ def check_reduction(record, pairs):
                     tgt,
                 )
             )
+        report.violations.extend(Violation(idx, *v) for v in found if v is not None)
     return report
 
 
-@dataclass
-class LinkResult:
-    name: str
-    status: str
-    checked: int = 0
-    violations: list = field(default_factory=list)
+def _constant_corruption(record, pairs):
+    """Test hook: replace the map by a constant map to the image of the first
+    pair's first point, which any source-unrelated sampled pair exposes."""
+    if not pairs:
+        return record
+    fixed = record.map(pairs[0][0])
+    return ReductionRecord(
+        name=record.name, source=record.source, target=record.target, map=lambda v: fixed
+    )
 
-    def to_machine(self):
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "violations": [v.to_machine() for v in self.violations],
-            "status": self.status,
-        }
+
+def check_sampled(name, cfg, corrupt=False, image_check=None):
+    """check_reduction on the registry entry ``name`` over ``cfg.cases``
+    pairs, pair i drawn from stream(cfg.seed, i).  ``corrupt`` swaps in a
+    constant map (test hook)."""
+    record, sampler = sampled_reductions()[name]
+    pairs = [sampler(stream(cfg.seed, i), cfg) for i in range(cfg.cases)]
+    if corrupt:
+        record = _constant_corruption(record, pairs)
+    return check_reduction(record, pairs, image_check)
+
+
+# The reducibility chain in order; its one conjectured link is never verified.
+CHAIN = ("fs2_to_e", "e_to_fxg", "fxg_to_fxf", "fxf_to_f")
+CONJECTURED = "e_to_fxg"
+
+
+def link_status(link):
+    """The chain's word for one link report."""
+    if link.name == CONJECTURED:
+        return "hypothetical"
+    return "verified" if not link.violations else "violated"
 
 
 @dataclass
@@ -293,18 +336,18 @@ class ChainReport:
 
     @property
     def status(self):
-        implemented = [l for l in self.links if l.status != "hypothetical"]
-        if all(l.status == "verified" for l in implemented):
+        if not any(link.violations for link in self.links):
             return "counterexample structure verified"
         return "violations found"
 
     def to_text(self):
         lines = [f"chain report  seed={self.seed} cases={self.cases}"]
         for link in self.links:
-            if link.status == "hypothetical":
+            status = link_status(link)
+            if status == "hypothetical":
                 lines.append(f"  [conj] {link.name:<12} hypothetical: conjectured link, never verified")
             else:
-                mark = "ok" if link.status == "verified" else "XX"
+                mark = "ok" if status == "verified" else "XX"
                 lines.append(
                     f"  [{mark}]   {link.name:<12} checked={link.checked}  violations={len(link.violations)}"
                 )
@@ -319,7 +362,15 @@ class ChainReport:
         return {
             "seed": self.seed,
             "cases": self.cases,
-            "links": [l.to_machine() for l in self.links],
+            "links": [
+                {
+                    "name": link.name,
+                    "checked": link.checked,
+                    "violations": [v.to_machine() for v in link.violations],
+                    "status": link_status(link),
+                }
+                for link in self.links
+            ],
             "growth": [
                 {"level": lv, "n": n, "count": c, "closed_form": cf, "match": m}
                 for lv, n, c, cf, m in self.growth
@@ -331,80 +382,26 @@ class ChainReport:
         return json.dumps(self.to_machine(), sort_keys=True)
 
 
-def _constant_corruption(record, pairs):
-    """Test hook: replace the map by a constant map to the image of the first
-    pair's first point, which any source-unrelated sampled pair exposes."""
-    if not pairs:
-        return record
-    fixed = record.map(pairs[0][0])
-    return ReductionRecord(
-        name=record.name, source=record.source, target=record.target, map=lambda v: fixed
-    )
-
-
 def chain_report(cfg, corrupt=None):
     """Verify every implemented chain link on seeded samples.
 
     Links, in chain order: the second-jump embedding into E; the conjectured
-    link from E into the product (typed, never verified); folding the second
-    product coordinate from word-class sequences into atom sequences; and the
-    interleaving of a product into a single sequence.  The class-count growth
-    table for universe sizes 1..3 is attached.  ``corrupt`` names a link
-    whose map gets deliberately broken (test hook).
+    link from E into the product (typed, never verified, reported with no
+    checked case); folding the second product coordinate from word-class
+    sequences into atom sequences; and the interleaving of a product into a
+    single sequence.  The implemented links are registry entries, sampled
+    as ``verify`` samples them.  The class-count growth table for universe
+    sizes 1..3 is attached.  ``corrupt`` names a link whose map gets
+    deliberately broken (test hook).
     """
-    from .generators import gen_cyclic_pair, gen_yseq_pair, gen_zcode_pair, stream
     from .invariants import closed_form, count_classes
 
     report = ChainReport(seed=cfg.seed, cases=cfg.cases)
-
-    def sample(pair_gen, salt):
-        pairs = []
-        for i in range(cfg.cases):
-            rng = stream(cfg.seed, i * 4 + salt)
-            pairs.append(pair_gen(rng, cfg))
-        return pairs
-
-    def product_pairs(salt):
-        pairs = []
-        for i in range(cfg.cases):
-            rng = stream(cfg.seed, i * 4 + salt)
-            x, x2 = gen_cyclic_pair(rng, cfg)
-            y, y2 = gen_yseq_pair(rng, cfg)
-            pairs.append(((x, y), (x2, y2)))
-        return pairs
-
-    def ff_pairs(salt):
-        pairs = []
-        for i in range(cfg.cases):
-            rng = stream(cfg.seed, i * 4 + salt)
-            x, x2 = gen_cyclic_pair(rng, cfg)
-            y, y2 = gen_cyclic_pair(rng, cfg)
-            pairs.append(((x, y), (x2, y2)))
-        return pairs
-
-    staged = [
-        (embed_fs2_record(), sample(gen_zcode_pair, 0)),
-        None,  # the conjectured link occupies this slot
-        (gxf_record(), product_pairs(1)),
-        (interleave_record(), ff_pairs(2)),
-    ]
-
-    for slot in staged:
-        if slot is None:
-            report.links.append(LinkResult(name="e_to_fxg", status="hypothetical"))
-            continue
-        record, pairs = slot
-        if corrupt == record.name:
-            record = _constant_corruption(record, pairs)
-        result = check_reduction(record, pairs)
-        report.links.append(
-            LinkResult(
-                name=record.name,
-                status="verified" if not result.violations else "violated",
-                checked=result.checked,
-                violations=result.violations,
-            )
-        )
+    for name in CHAIN:
+        if name == CONJECTURED:
+            report.links.append(VerificationReport(name=name))
+        else:
+            report.links.append(check_sampled(name, cfg, corrupt=corrupt == name))
 
     for n in (1, 2, 3):
         for level in ("F", "E"):

@@ -49,7 +49,10 @@ def jump(e):
     """The jump of a relation: sequence codes are related iff their entries
     hit the same set of classes of ``e``.
 
-    The defining condition quantifies entry indices over all of N; entries
+    This is the Friedman–Stanley jump (Friedman & Stanley, JSL 1989), the
+    one operator behind ``rel_G``, the one-entry embedding of a relation
+    into its jump and the double-jump embedding of row codes into E.  The
+    defining condition quantifies entry indices over all of N; entries
     repeat cyclically, so ranging over the finite entry lists is sound and
     complete.  Operands are any cyclic entry-list codes over e's domain.
     """
@@ -208,12 +211,6 @@ class PPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "carves", _validate_membership(self.x, self.y))
-
-
-def p_membership(x, y):
-    """Validate the three clauses and return the point, or raise
-    ClauseViolation / StructuralMismatch with a witness."""
-    return PPoint(x, y)
 
 
 def carve(p, n):

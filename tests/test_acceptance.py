@@ -28,6 +28,7 @@ from carveq.campaigns import (
     campaign_star,
 )
 from carveq.generators import gen_serial_value, gen_zcode_pair, stream
+from carveq.reductions import link_status
 
 from test_serialize import VECTORS
 
@@ -119,7 +120,7 @@ def test_criterion_chain_report():
         cfg = FuzzConfig(seed=0, cases=250)
         report = chain_report(cfg)
         assert report.status == "counterexample structure verified"
-        statuses = {link.name: link.status for link in report.links}
+        statuses = {link.name: link_status(link) for link in report.links}
         assert statuses["e_to_fxg"] == "hypothetical"
         assert all(
             status == "verified" for name, status in statuses.items() if name != "e_to_fxg"

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from carveq import FuzzConfig, StructuralMismatch, campaigns, reductions, stream
 from carveq.cli import main
 
 
@@ -16,6 +18,75 @@ def test_verify_targets_pass(capsys):
         code, out, _ = run(capsys, "verify", target, "--cases", "40")
         assert code == 0, (target, out)
         assert "pass" in out
+
+
+# (verify target, registry entry it checks); constjump checks two entries.
+IFF_ENTRIES = (
+    ("embed", "fs2_to_e"),
+    ("interleave", "fxf_to_f"),
+    ("gtof", "g_to_f"),
+    ("constjump", "const[eq]"),
+    ("constjump", "const[F]"),
+)
+
+
+def break_map(monkeypatch, name, broken):
+    """Give the registry entry ``name`` the map ``broken(record, sampler)``."""
+    registry = reductions.sampled_reductions
+
+    def patched():
+        table = registry()
+        record, sampler = table[name]
+        table[name] = (dataclasses.replace(record, map=broken(record, sampler)), sampler)
+        return table
+
+    monkeypatch.setattr(reductions, "sampled_reductions", patched)
+
+
+@pytest.mark.parametrize("target, name", IFF_ENTRIES)
+def test_verify_iff_target_fails_on_constant_map(capsys, monkeypatch, target, name):
+    _, sampler = reductions.sampled_reductions()[name]
+
+    def constant(record, sampler):
+        fixed = record.map(sampler(stream(0, 0), FuzzConfig())[0])
+        return lambda v: fixed
+
+    break_map(monkeypatch, name, constant)
+    code, out, _ = run(capsys, "verify", target, "--cases", "40", "--format", "machine")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    iff = [v for v in payload["violations"] if v["detail"].startswith("pair ")]
+    assert iff
+    for v in iff:
+        a, b = sampler(stream(0, v["index"]), FuzzConfig())
+        assert v["detail"] == f"pair {reductions._describe(a)} | {reductions._describe(b)}"
+        assert (v["source_verdict"], v["target_verdict"]) == (False, True)
+
+
+def test_verify_records_map_errors(capsys, monkeypatch):
+    def raising(record, sampler):
+        def fail(v):
+            raise StructuralMismatch("refused")
+
+        return fail
+
+    break_map(monkeypatch, "g_to_f", raising)
+    code, out, _ = run(capsys, "verify", "gtof", "--cases", "5", "--format", "machine")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["checked"] == 5
+    assert [v["detail"] for v in payload["violations"]] == ["StructuralMismatch: refused"] * 5
+
+
+def test_interleave_tagging_violation_is_json(capsys, monkeypatch):
+    monkeypatch.setattr(campaigns, "iota", lambda a, bit: a)
+    code, out, _ = run(capsys, "verify", "interleave", "--cases", "5", "--format", "machine")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["checked"] == 5
+    assert [v["detail"] for v in payload["violations"]] == ["tagging is not injective"] * 4
+    assert payload["violations"][0]["source_verdict"] == "(rat 1 1) 0"
 
 
 def test_verify_zero_cases(capsys):

@@ -3,9 +3,9 @@ import pytest
 from carveq import (
     Cyclic,
     FuzzConfig,
+    PPoint,
     PairMerge,
     SplitMix64,
-    p_membership,
     rel_E,
     stream,
     to_text,
@@ -54,7 +54,7 @@ def test_generated_points_are_valid_and_match_family():
     for i in range(400):
         rng = stream(301, i)
         p, family = gen_ppoint(rng, cfg)
-        assert p_membership(p.x, p.y) == p
+        assert PPoint(p.x, p.y) == p
         assert e_invariant(p) == SetOfAtomSets(tuple(family))
         cyclic_seen += isinstance(p.x, Cyclic)
         pairmerge_seen += isinstance(p.x, PairMerge)

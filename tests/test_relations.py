@@ -23,7 +23,6 @@ from carveq import (
     carve_pair,
     g_handle,
     jump,
-    p_membership,
     product,
     pullback,
     range_set,
@@ -164,7 +163,7 @@ def test_carve_raw_pair_vs_validation():
     entry = CycW("100")
     assert carve_pair(x, entry) == AtomSet.of(R1)
     with pytest.raises(ClauseViolation) as err:
-        p_membership(x, YSeq((entry,)))
+        PPoint(x, YSeq((entry,)))
     assert err.value.clause == 3
     assert err.value.witness == (0, 0, 1)
 
@@ -205,18 +204,18 @@ def test_rel_e_across_reordered_enumerations():
 
 
 def test_p_membership_display_accepted():
-    assert p_membership(DISPLAY_X, DISPLAY_Y) == DISPLAY_POINT
+    assert PPoint(DISPLAY_X, DISPLAY_Y) == DISPLAY_POINT
 
 
 def test_p_membership_clause2():
     with pytest.raises(ClauseViolation) as err:
-        p_membership(Cyclic((R1, R2)), YSeq((CycW("11"), CycW("0"))))
+        PPoint(Cyclic((R1, R2)), YSeq((CycW("11"), CycW("0"))))
     assert err.value.clause == 2
 
 
 def test_p_membership_clause3_witness():
     with pytest.raises(ClauseViolation) as err:
-        p_membership(Cyclic((R1, R1)), YSeq((CycW("10"),)))
+        PPoint(Cyclic((R1, R1)), YSeq((CycW("10"),)))
     assert err.value.clause == 3
     assert err.value.witness == (0, 0, 1)
 
@@ -225,7 +224,7 @@ def test_p_membership_clause3_before_clause2():
     # entry 0 carves nothing, entry 1 breaks clause (3): all of (3) is
     # checked first, with the witness of the word scan
     with pytest.raises(ClauseViolation) as err:
-        p_membership(Cyclic((R1, R1, R1)), YSeq((CycW("0"), CycW("100"))))
+        PPoint(Cyclic((R1, R1, R1)), YSeq((CycW("0"), CycW("100"))))
     assert err.value.clause == 3
     assert err.value.witness == (1, 0, 1)  # the first clash; (1, 0, 2) is the next
 
@@ -256,7 +255,7 @@ def test_carves_outside_equality_and_text():
 
 def test_p_membership_clause1():
     with pytest.raises(ClauseViolation) as err:
-        p_membership(Cyclic((R1, R2)), YSeq((CycW("10"),)))
+        PPoint(Cyclic((R1, R2)), YSeq((CycW("10"),)))
     assert err.value.clause == 1
 
 
@@ -264,13 +263,13 @@ def test_p_membership_structural_restriction():
     z = ZCode((Cyclic((R1,)), Cyclic((R2,))))
     x = PairMerge(z)
     with pytest.raises(StructuralMismatch):
-        p_membership(x, YSeq((CycW("10"),)))
+        PPoint(x, YSeq((CycW("10"),)))
     other = PairMerge(ZCode((Cyclic((R2,)), Cyclic((R1,)))))
     with pytest.raises(StructuralMismatch):
-        p_membership(x, YSeq((pullback(other, AtomSet.of(R1)),)))
+        PPoint(x, YSeq((pullback(other, AtomSet.of(R1)),)))
     # constant words over a pair-merge base are fine: they are the normalized
     # images of full/empty pullbacks over that very base
-    p = p_membership(x, YSeq((pullback(x, AtomSet.of(R1)), CycW("1"))))
+    p = PPoint(x, YSeq((pullback(x, AtomSet.of(R1)), CycW("1"))))
     assert carve(p, 1) == range_set(x)
 
 
