@@ -32,6 +32,7 @@ from .codes import (
     atom_to_binseq,
     binseq_eq,
     binseq_value_at,
+    grid_cells,
     iota,
     pullback,
     range_set,

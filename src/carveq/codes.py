@@ -91,9 +91,34 @@ def saturation_bound(x):
     return 1 + top
 
 
+def grid_cells(x):
+    """Yield (index, value) for the cells of one period of x.
+
+    Cyclic: every entry with its position.  PairMerge: (e(i, j), z(i)(j))
+    for i < rows and j < period(row i).  Every value of x occurs here at
+    its least index: x(e(i, j)) equals the value of the cell (i mod rows,
+    j mod period(row i mod rows)), and e is increasing in each coordinate,
+    so reducing both coordinates never raises the index.
+    """
+    if isinstance(x, Cyclic):
+        return enumerate(x.entries)
+    if isinstance(x, PairMerge):
+        return (
+            (cantor_pair(i, j), a)
+            for i, row in enumerate(x.z.entries)
+            for j, a in enumerate(row.entries)
+        )
+    raise TypeError(f"not an atom-sequence code: {x!r}")
+
+
 def range_set(x):
-    """The set of values the denoted sequence ever takes, canonical."""
-    return AtomSet(tuple(value_at(x, n) for n in range(saturation_bound(x))))
+    """The set of values the denoted sequence ever takes, canonical: the
+    entries of a cyclic code, the union of the rows of a pair-merge."""
+    if isinstance(x, Cyclic):
+        return AtomSet(x.entries)
+    if isinstance(x, PairMerge):
+        return AtomSet(tuple(set().union(*(row.entries for row in x.z.entries))))
+    raise TypeError(f"not an atom-sequence code: {x!r}")
 
 
 @dataclass(frozen=True)

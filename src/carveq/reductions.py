@@ -18,10 +18,9 @@ from .codes import (
     YSeq,
     ZCode,
     binseq_value_at,
+    grid_cells,
     iota,
     range_set,
-    saturation_bound,
-    value_at,
 )
 from .errors import CarveqError, DomainViolation, StructuralMismatch, TypeMismatch
 from .generators import gen_atom_pair, gen_cyclic_pair, gen_yseq_pair, gen_zcode_pair, stream
@@ -68,10 +67,10 @@ def fiber_reduction(x0):
     binary-sequence equality.
 
     Output entry n is a word of one x0-period: bit k is y(n) at any witness
-    index k' with x(k') = x0(k).  One scan below saturation_bound(x) keeps
-    the first index of every value of x; the fiber condition makes range(x)
-    cover every x0(k), so each has a witness, and clause (3) makes every
-    witness give the same bit.
+    index k' with x(k') = x0(k).  The least grid cell index of each value
+    of x is its first index (see grid_cells); the fiber condition makes
+    range(x) cover every x0(k), so each has a witness, and clause (3) makes
+    every witness give the same bit.
     """
     if not isinstance(x0, Cyclic):
         raise StructuralMismatch("fiber basepoints must be cyclic codes")
@@ -81,8 +80,9 @@ def fiber_reduction(x0):
         if not isinstance(p, PPoint) or not rel_F(p.x, x0):
             raise DomainViolation("point outside the fiber of the basepoint")
         first = {}
-        for kp in range(saturation_bound(p.x)):
-            first.setdefault(value_at(p.x, kp), kp)
+        for kp, a in grid_cells(p.x):
+            if kp < first.get(a, kp + 1):
+                first[a] = kp
         witnesses = [first[target] for target in x0.entries]
         return YSeq(
             tuple(
@@ -203,12 +203,13 @@ def sampled_reductions():
 
 
 def _describe(value):
+    """Canonical text of a source point; a product point is written
+    ``<t0, t1>`` from the texts of its coordinates."""
     from .serialize import to_text
 
-    try:
-        return to_text(value)
-    except TypeError:
-        return repr(value)
+    if isinstance(value, tuple):
+        return "<" + ", ".join(_describe(v) for v in value) + ">"
+    return to_text(value)
 
 
 @dataclass
@@ -391,10 +392,15 @@ def chain_report(cfg, corrupt=None):
     sequences into atom sequences; and the interleaving of a product into a
     single sequence.  The implemented links are registry entries, sampled
     as ``verify`` samples them.  The class-count growth table for universe
-    sizes 1..3 is attached.  ``corrupt`` names a link whose map gets
-    deliberately broken (test hook).
+    sizes 1..3 is attached.  ``corrupt`` names an implemented link whose
+    map gets deliberately broken (test hook); any other name is a
+    ValueError.
     """
     from .invariants import closed_form, count_classes
+
+    if corrupt is not None and (corrupt not in CHAIN or corrupt == CONJECTURED):
+        links = ", ".join(name for name in CHAIN if name != CONJECTURED)
+        raise ValueError(f"cannot corrupt {corrupt!r}: implemented chain links are {links}")
 
     report = ChainReport(seed=cfg.seed, cases=cfg.cases)
     for name in CHAIN:

@@ -19,9 +19,8 @@ from .codes import (
     Pullback,
     YSeq,
     binseq_eq,
+    grid_cells,
     range_set,
-    saturation_bound,
-    value_at,
 )
 from .errors import ClauseViolation, DomainViolation, StructuralMismatch
 
@@ -182,13 +181,15 @@ def _validate_membership(x, y):
         if len(aset) == 0:
             raise ClauseViolation(2, (k,))
 
-    # Clause (1): every enumerated value is carved by some entry.
+    # Clause (1): every enumerated value is carved by some entry.  The
+    # witness is the least index of an uncovered value, which is a grid
+    # cell (see grid_cells).
     covered = set()
     for aset in carves:
         covered.update(aset.elements)
-    for m in range(saturation_bound(x)):
-        if value_at(x, m) not in covered:
-            raise ClauseViolation(1, (m,))
+    uncovered = [m for m, a in grid_cells(x) if a not in covered]
+    if uncovered:
+        raise ClauseViolation(1, (min(uncovered),))
     return tuple(carves)
 
 

@@ -20,6 +20,7 @@ from carveq import (
     ZCode,
     binseq_value_at,
     pullback,
+    saturation_bound,
     stream,
     value_at,
 )
@@ -80,6 +81,15 @@ def sequence_class(b):
             for i in range(n)
         ]
     return _root(tuple(_root(row) for row in rows))
+
+
+def scan_first_indices(x):
+    """Least index of every value of an atom-sequence code, by scanning
+    value_at below saturation_bound."""
+    first = {}
+    for n in range(saturation_bound(x)):
+        first.setdefault(value_at(x, n), n)
+    return first
 
 
 def forall_exists(left, right, rel):

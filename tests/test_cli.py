@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from carveq import FuzzConfig, StructuralMismatch, campaigns, reductions, stream
+from carveq import FuzzConfig, StructuralMismatch, campaigns, parse_any, reductions, stream
 from carveq.cli import main
 
 
@@ -43,15 +43,16 @@ def break_map(monkeypatch, name, broken):
     monkeypatch.setattr(reductions, "sampled_reductions", patched)
 
 
+def constant_map(record, sampler):
+    """A constant map to the image of the first point of pair 0."""
+    fixed = record.map(sampler(stream(0, 0), FuzzConfig())[0])
+    return lambda v: fixed
+
+
 @pytest.mark.parametrize("target, name", IFF_ENTRIES)
 def test_verify_iff_target_fails_on_constant_map(capsys, monkeypatch, target, name):
     _, sampler = reductions.sampled_reductions()[name]
-
-    def constant(record, sampler):
-        fixed = record.map(sampler(stream(0, 0), FuzzConfig())[0])
-        return lambda v: fixed
-
-    break_map(monkeypatch, name, constant)
+    break_map(monkeypatch, name, constant_map)
     code, out, _ = run(capsys, "verify", target, "--cases", "40", "--format", "machine")
     assert code == 1
     payload = json.loads(out)
@@ -62,6 +63,22 @@ def test_verify_iff_target_fails_on_constant_map(capsys, monkeypatch, target, na
         a, b = sampler(stream(0, v["index"]), FuzzConfig())
         assert v["detail"] == f"pair {reductions._describe(a)} | {reductions._describe(b)}"
         assert (v["source_verdict"], v["target_verdict"]) == (False, True)
+
+
+def test_product_points_are_described_by_coordinate_texts(capsys, monkeypatch):
+    _, sampler = reductions.sampled_reductions()["fxf_to_f"]
+    break_map(monkeypatch, "fxf_to_f", constant_map)
+    code, out, _ = run(capsys, "verify", "interleave", "--cases", "40", "--format", "machine")
+    assert code == 1
+    iff = [v for v in json.loads(out)["violations"] if v["detail"].startswith("pair ")]
+    assert iff
+    for v in iff:
+        sides = v["detail"].removeprefix("pair ").split(" | ")
+        parsed = []
+        for side in sides:
+            assert side.startswith("<") and side.endswith(">")
+            parsed.append(tuple(parse_any(text) for text in side[1:-1].split(", ")))
+        assert tuple(parsed) == sampler(stream(0, v["index"]), FuzzConfig())
 
 
 def test_verify_records_map_errors(capsys, monkeypatch):
@@ -159,6 +176,14 @@ def test_chain_pass_and_corrupt(capsys):
     code, out, _ = run(capsys, "chain", "--cases", "40", "--corrupt", "fs2_to_e")
     assert code == 1
     assert "violations found" in out
+
+
+@pytest.mark.parametrize("link", ["nonsense", "g_to_f", "e_to_fxg"])
+def test_chain_rejects_unknown_corrupt_link(capsys, link):
+    code, out, err = run(capsys, "chain", "--cases", "5", "--corrupt", link)
+    assert code == 2
+    assert out == ""
+    assert link in err
 
 
 def test_chain_machine_format(capsys):

@@ -17,6 +17,7 @@ from carveq import (
     binseq_eq,
     binseq_value_at,
     cantor_pair,
+    grid_cells,
     iota,
     pullback,
     range_set,
@@ -34,6 +35,7 @@ from helpers import (
     WORD_001,
     agree_below,
     binseq_sample,
+    scan_first_indices,
     sequence_class,
 )
 
@@ -92,6 +94,13 @@ def test_values_beyond_bound_stay_in_range():
         rng_set = range_set(x)
         for n in range(bound, 10 * bound, max(1, bound // 3)):
             assert value_at(x, n) in rng_set
+        first = scan_first_indices(x)
+        assert rng_set == AtomSet(tuple(first))
+        least = {}
+        for n, a in grid_cells(x):
+            assert value_at(x, n) == a
+            least[a] = min(n, least.get(a, n))
+        assert least == first
 
 
 def test_binseq_eq_words():

@@ -23,6 +23,15 @@ VERIFY = {
     "constjump": "70a942b1dacb4bc777a3873234ee4c22",
 }
 
+# The same targets on a larger grid: more rows and longer periods in the
+# pair-merge bases than the default configuration draws.
+VERIFY_LARGE = {
+    "claim": "8698b3d36fcdad0eaa3050bd9feeec31",
+    "embed": "93260fdb79300c4376045f1361720ea1",
+    "remark": "c1bec3f9c3cd9a57f1fe80620f96ea4d",
+}
+LARGE = ("--cases", "150", "--max-period", "9", "--max-entries", "7")
+
 COUNT = {
     1: "b1d9e9c8a9df9b0b1a787b976c205387",
     2: "b01bd1d7b9da176561747221da17495d",
@@ -39,6 +48,12 @@ def stdout_md5(capsys, *argv):
 @pytest.mark.parametrize("target", sorted(VERIFY))
 def test_verify_golden(capsys, target):
     assert stdout_md5(capsys, "verify", target, "--format", "machine") == (0, VERIFY[target])
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_LARGE))
+def test_verify_golden_large_grid(capsys, target):
+    got = stdout_md5(capsys, "verify", target, *LARGE, "--format", "machine")
+    assert got == (0, VERIFY_LARGE[target])
 
 
 def test_chain_golden(capsys):

@@ -220,6 +220,15 @@ def test_p_membership_clause3_witness():
     assert err.value.witness == (0, 0, 1)
 
 
+def test_p_membership_clause1_pairmerge_witness():
+    # rows (A) and (A B): B first occurs at e(1, 1) = 4
+    pm = PairMerge(ZCode((Cyclic((R1,)), Cyclic((R1, R2)))))
+    with pytest.raises(ClauseViolation) as err:
+        PPoint(pm, YSeq((pullback(pm, AtomSet.of(R1)),)))
+    assert err.value.clause == 1
+    assert err.value.witness == (4,)
+
+
 def test_p_membership_clause3_before_clause2():
     # entry 0 carves nothing, entry 1 breaks clause (3): all of (3) is
     # checked first, with the witness of the word scan
