@@ -1,10 +1,10 @@
 """carveq: decidable equivalence relations on finitary sequence codes.
 
 Atoms with structural equality; cyclic and pair-merged sequence codes with
-total evaluation and finite saturation bounds; the jump operator, products,
-range equality, and carve-family equality on validated points; canonical
-invariants and brute-force class counting; executable reductions with a
-sampling verifier; and a seeded property harness with a CLI front end.
+total evaluation; the jump operator, products, range equality, and
+carve-family equality on validated points; canonical invariants and
+brute-force class counting; executable reductions with a sampling verifier;
+and a seeded property harness with a CLI front end.
 """
 
 from .atoms import (
@@ -15,7 +15,6 @@ from .atoms import (
     Tag,
     WordAtom,
     atom_eq,
-    atom_lt,
     atom_sort_key,
     primitive_root,
 )
@@ -28,8 +27,6 @@ from .codes import (
     Pullback,
     YSeq,
     ZCode,
-    atom_from_binseq,
-    atom_to_binseq,
     binseq_eq,
     binseq_value_at,
     grid_cells,
@@ -101,8 +98,6 @@ from .serialize import (
     parse_atom,
     parse_binseq,
     parse_ppoint,
-    parse_yseq,
-    parse_zcode,
     to_text,
 )
 

@@ -124,10 +124,6 @@ def atom_sort_key(a):
     raise TypeError(f"not an atom: {a!r}")
 
 
-def atom_lt(a, b):
-    return atom_sort_key(a) < atom_sort_key(b)
-
-
 @dataclass(frozen=True)
 class AtomSet:
     """Finite set of atoms in canonical storage.

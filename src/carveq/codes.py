@@ -246,43 +246,3 @@ def iota(a, bit):
     """Injective pairing of an atom with a bit, realized by the Tag constructor."""
     return Tag(bit, a)
 
-
-def atom_to_binseq(a):
-    """Injective map from atoms to word codes.
-
-    The atom's canonical text is spelled as 8-bit characters and framed
-    self-delimitingly as 1^L 0 payload (L = payload length); the word is
-    "1" + frame.  No framed string is a proper prefix of another (equal
-    leading-one runs force equal payload lengths, hence equal total
-    lengths), so if two such words were powers of a common primitive root
-    the shorter would be a proper prefix of the longer; distinct atoms
-    therefore denote distinct sequences.
-    """
-    from .serialize import atom_to_text
-
-    payload = "".join(f"{ord(c):08b}" for c in atom_to_text(a))
-    framed = "1" * len(payload) + "0" + payload
-    return CycW(CyclicWord("1" + framed))
-
-
-def atom_from_binseq(b, max_len=10**6):
-    """Inverse of atom_to_binseq, reading the denoted sequence.
-
-    Decoding works off the sequence rather than the stored word, since
-    canonicalization may have shrunk the word to a primitive root.
-    """
-    from .serialize import parse_atom
-
-    if binseq_value_at(b, 0) != 1:
-        raise ValueError("not an encoded atom: missing leading marker")
-    length = 0
-    while binseq_value_at(b, 1 + length) == 1:
-        length += 1
-        if length > max_len:
-            raise ValueError("not an encoded atom: unterminated length prefix")
-    start = 2 + length
-    bits = "".join(str(binseq_value_at(b, start + t)) for t in range(length))
-    if length % 8:
-        raise ValueError("not an encoded atom: ragged payload")
-    text = "".join(chr(int(bits[i : i + 8], 2)) for i in range(0, length, 8))
-    return parse_atom(text)

@@ -8,12 +8,10 @@ class CarveqError(Exception):
 class ClauseViolation(CarveqError):
     """A candidate pair (x, y) failed one of the three membership clauses."""
 
-    def __init__(self, clause, witness, message=None):
+    def __init__(self, clause, witness):
         self.clause = clause
         self.witness = witness
-        super().__init__(
-            message or f"membership clause ({clause}) violated, witness {witness}"
-        )
+        super().__init__(f"membership clause ({clause}) violated, witness {witness}")
 
 
 class StructuralMismatch(CarveqError):

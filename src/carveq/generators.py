@@ -79,10 +79,9 @@ class FuzzConfig:
         return tuple(Rational(i, 1) for i in range(1, self.atom_universe + 1))
 
 
-def gen_subset(rng, pool, size=None):
+def gen_subset(rng, pool):
     """Random nonempty subset of ``pool`` as a sorted tuple of distinct atoms."""
-    if size is None:
-        size = rng.randint(1, len(pool))
+    size = rng.randint(1, len(pool))
     picked = rng.shuffle(pool)[:size]
     return tuple(AtomSet(tuple(picked)))
 
@@ -180,16 +179,23 @@ def gen_infiber_pair(rng, cfg, base_atoms=None):
     return p, q, frozenset(fam_p) == frozenset(fam_q)
 
 
+def _stutter_pair(rng, draw):
+    """(first, second) from ``draw()``, a code with an ``entries`` tuple.
+    On a coin, the second is the first's entries reshuffled, on a second
+    coin with one of them repeated; otherwise it is a fresh draw."""
+    first = draw()
+    if rng.coin():
+        entries = rng.shuffle(first.entries)
+        if rng.coin():
+            entries.append(rng.choice(first.entries))
+        return first, type(first)(tuple(entries))
+    return first, draw()
+
+
 def gen_cyclic_pair(rng, cfg):
     """Pair of cyclic codes; about half the time the second is a reshuffled
     stutter of the first (same range by construction)."""
-    x = gen_cyclic(rng, cfg.universe(), cfg.max_period)
-    if rng.coin():
-        entries = rng.shuffle(x.entries)
-        if rng.coin():
-            entries.append(rng.choice(x.entries))
-        return x, Cyclic(tuple(entries))
-    return x, gen_cyclic(rng, cfg.universe(), cfg.max_period)
+    return _stutter_pair(rng, lambda: gen_cyclic(rng, cfg.universe(), cfg.max_period))
 
 
 def gen_atom_pair(rng, cfg):
@@ -201,13 +207,7 @@ def gen_atom_pair(rng, cfg):
 def gen_zcode_pair(rng, cfg):
     """Pair of row codes; about half the time the second permutes and
     duplicates rows of the first (same row-range family by construction)."""
-    z = gen_zcode(rng, cfg.universe(), cfg.max_period, cfg.max_entries)
-    if rng.coin():
-        rows = rng.shuffle(z.entries)
-        if rng.coin():
-            rows.append(rng.choice(z.entries))
-        return z, ZCode(tuple(rows))
-    return z, gen_zcode(rng, cfg.universe(), cfg.max_period, cfg.max_entries)
+    return _stutter_pair(rng, lambda: gen_zcode(rng, cfg.universe(), cfg.max_period, cfg.max_entries))
 
 
 def gen_word(rng, max_period):
@@ -222,19 +222,13 @@ def gen_yseq_words(rng, cfg):
 def gen_yseq_pair(rng, cfg):
     """Pair of word-entry YSeqs; about half the time the second reshuffles
     and duplicates entries of the first (same class set by construction)."""
-    y = gen_yseq_words(rng, cfg)
-    if rng.coin():
-        entries = rng.shuffle(y.entries)
-        if rng.coin():
-            entries.append(rng.choice(y.entries))
-        return y, YSeq(tuple(entries))
-    return y, gen_yseq_words(rng, cfg)
+    return _stutter_pair(rng, lambda: gen_yseq_words(rng, cfg))
 
 
-def gen_binseq(rng, cfg, allow_pullback=True):
+def gen_binseq(rng, cfg):
     """Random binary-sequence code: a word, or a proper pullback over a
     random pair-merge base when one exists."""
-    if allow_pullback and rng.coin():
+    if rng.coin():
         z = gen_zcode(rng, cfg.universe(), cfg.max_period, cfg.max_entries)
         base = PairMerge(z)
         rng_set = range_set(base)

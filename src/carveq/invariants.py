@@ -140,7 +140,7 @@ def atom_universe(n):
 def _all_cyclic_codes(universe, max_period, budget):
     for length in range(1, max_period + 1):
         for combo in itertools.product(universe, repeat=length):
-            budget.spend()
+            budget.spend(length)
             yield Cyclic(combo)
 
 
@@ -161,8 +161,9 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
     fresh atoms (tagging, word atoms) fall outside these counts, which
     illustrate growth under the jump rather than prove non-reducibility.
     Raises ResourceLimit, before enumerating, when the step count exceeds
-    ``cap``: sum_{k <= max_period} n^k cyclic codes for F, and
-    sum_r C(n, r)(2^(2^r - 1) - 1) candidate families for E.
+    ``cap``.  A step of F is one entry of a cyclic code, so F takes
+    sum_{k <= max_period} k n^k steps; a step of E is one candidate
+    family, and E takes sum_r C(n, r)(2^(2^r - 1) - 1) of them.
     """
     if level not in ("F", "E"):
         raise ValueError(f"unknown level {level!r}")
@@ -174,7 +175,7 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
         raise ValueError("max_period must be at least the universe size")
 
     if level == "F":
-        budget = _Budget(cap, (n**k for k in range(1, max_period + 1)))
+        budget = _Budget(cap, (k * n**k for k in range(1, max_period + 1)))
         seen = set()
         for code in _all_cyclic_codes(atom_universe(n), max_period, budget):
             seen.add(f_invariant(code))

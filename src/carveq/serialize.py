@@ -193,18 +193,23 @@ class _Parser:
             return WordAtom(bits)
         self.error(f"expected an atom keyword, found {kw!r}")
 
-    def _cyc(self):
-        kw = self.head()
-        if kw != "cyc":
-            self.error(f"expected 'cyc', found {kw!r}")
+    def _items(self, kw, item, noun):
+        """Parse ``( kw item* )`` and return the items as a tuple.  An empty
+        list is an error naming ``noun``, unless ``noun`` is None."""
+        found = self.head()
+        if found != kw:
+            self.error(f"expected {kw!r}, found {found!r}")
         self.next()
-        entries = []
+        items = []
         while self.peek() != ")":
-            entries.append(self.atom())
-        if not entries:
-            self.error("cyc needs at least one atom")
+            items.append(item())
+        if not items and noun is not None:
+            self.error(f"{kw} needs at least one {noun}")
         self.expect(")")
-        return Cyclic(tuple(entries))
+        return tuple(items)
+
+    def _cyc(self):
+        return Cyclic(self._items("cyc", self.atom, "atom"))
 
     def aseq(self):
         kw = self.head()
@@ -228,43 +233,16 @@ class _Parser:
         if kw == "pull":
             self.next()
             base = self.aseq()
-            skw = self.head()
-            if skw != "set":
-                self.error(f"expected 'set', found {skw!r}")
-            self.next()
-            atoms = []
-            while self.peek() != ")":
-                atoms.append(self.atom())
+            atoms = self._items("set", self.atom, None)
             self.expect(")")
-            self.expect(")")
-            return pullback(base, AtomSet(tuple(atoms)))
+            return pullback(base, AtomSet(atoms))
         self.error(f"expected a binary-sequence keyword, found {kw!r}")
 
     def yseq(self):
-        kw = self.head()
-        if kw != "ylist":
-            self.error(f"expected 'ylist', found {kw!r}")
-        self.next()
-        entries = []
-        while self.peek() != ")":
-            entries.append(self.binseq())
-        if not entries:
-            self.error("ylist needs at least one entry")
-        self.expect(")")
-        return YSeq(tuple(entries))
+        return YSeq(self._items("ylist", self.binseq, "entry"))
 
     def zcode(self):
-        kw = self.head()
-        if kw != "zlist":
-            self.error(f"expected 'zlist', found {kw!r}")
-        self.next()
-        rows = []
-        while self.peek() != ")":
-            rows.append(self._cyc())
-        if not rows:
-            self.error("zlist needs at least one row")
-        self.expect(")")
-        return ZCode(tuple(rows))
+        return ZCode(self._items("zlist", self._cyc, "row"))
 
     def ppoint(self):
         from .relations import PPoint
@@ -314,14 +292,6 @@ def parse_aseq(text):
 
 def parse_binseq(text):
     return _run(text, _Parser.binseq)
-
-
-def parse_yseq(text):
-    return _run(text, _Parser.yseq)
-
-
-def parse_zcode(text):
-    return _run(text, _Parser.zcode)
 
 
 def parse_ppoint(text):

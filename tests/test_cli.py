@@ -160,6 +160,10 @@ def test_count_rejects_bad_config(capsys):
     code, out, err = run(capsys, "count", "--n", "5")
     assert code == 2 and out == ""
     assert "cap" in err
+    # one step per code entry: 1 + 2 + ... + 100000 entries exceed the cap
+    code, out, err = run(capsys, "count", "--n", "1", "--max-period", "100000")
+    assert code == 2 and out == ""
+    assert "cap" in err
 
 
 def test_remark_needs_two_atoms(capsys):

@@ -12,8 +12,6 @@ from carveq import (
     Tag,
     YSeq,
     ZCode,
-    atom_from_binseq,
-    atom_to_binseq,
     binseq_eq,
     binseq_value_at,
     cantor_pair,
@@ -25,7 +23,7 @@ from carveq import (
     stream,
     value_at,
 )
-from carveq.generators import gen_binseq, gen_rich_atom
+from carveq.generators import gen_binseq
 
 from helpers import (
     BINSEQ_SAMPLES,
@@ -223,23 +221,3 @@ def test_iota_is_tag_constructor():
     # structural equality of terms gives injectivity
     assert iota(A, 0) != iota(A, 1)
     assert iota(A, 0) != iota(B, 0)
-
-
-def test_atom_to_binseq_roundtrip():
-    a = Rational(3, 2)
-    assert atom_from_binseq(atom_to_binseq(a)) == a
-    nested = Tag(1, Tag(0, Rational(-5, 3)))
-    assert atom_from_binseq(atom_to_binseq(nested)) == nested
-
-
-def test_atom_to_binseq_injective():
-    seen = []
-    for i in range(120):
-        rng = stream(23, i)
-        seen.append(gen_rich_atom(rng))
-    for i, a in enumerate(seen):
-        for b in seen[i + 1 :]:
-            expected = a == b
-            assert binseq_eq(atom_to_binseq(a), atom_to_binseq(b)) == expected
-    a = Rational(1, 1)
-    assert binseq_eq(atom_to_binseq(a), atom_to_binseq(Rational(1, 1)))

@@ -6,6 +6,10 @@ update the value here and say why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +76,28 @@ def test_echo_golden(capsys):
         assert main(["echo", text]) == 0, text
         out.append(capsys.readouterr().out)
     assert hashlib.md5("".join(out).encode()).hexdigest() == "25e623ad890d5e7442e368bc03b7417a"
+
+
+# Report bytes must not depend on the order of set or dict iteration, which
+# for strings and bytes changes with the hash seed of the process.
+HASH_SEED_RUNS = (
+    ("verify", "gtof"),
+    ("verify", "claim", "--cases", "100"),
+    ("chain", "--cases", "50"),
+    ("count", "--n", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", HASH_SEED_RUNS, ids=" ".join)
+def test_report_bytes_ignore_hash_seed(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "carveq", *argv, "--format", "machine"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]

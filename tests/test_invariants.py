@@ -244,17 +244,17 @@ def test_count_classes_refuses_before_enumerating(monkeypatch):
     with pytest.raises(ResourceLimit):
         count_classes("E", 5)  # 2,147,648,827 candidate families
     with pytest.raises(ResourceLimit):
-        count_classes("F", 3, max_period=14)  # 3 + 9 + ... + 3^14 codes
+        count_classes("F", 3, max_period=14)  # 1*3 + 2*9 + ... + 14*3^14 entries
     with pytest.raises(ResourceLimit):
         count_classes("F", 10**9)
     # the closed forms are exact: a cap one below the step count refuses
     with pytest.raises(ResourceLimit):
         count_classes("E", 3, cap=150)
     with pytest.raises(ResourceLimit):
-        count_classes("F", 3, cap=38)
+        count_classes("F", 3, cap=101)  # 3 + 18 + 81 entries
     monkeypatch.undo()
     assert count_classes("E", 3, cap=151) == 127
-    assert count_classes("F", 3, cap=39) == 7
+    assert count_classes("F", 3, cap=102) == 7
 
 
 def test_f_invariant_separates_exhaustively():

@@ -105,8 +105,18 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 8
     with pytest.raises(ParseError):
         parse_any("")
-    with pytest.raises(ParseError):
-        parse_any("(cyc)")
+
+    for text, message, position in [
+        ("(cyc)", "cyc needs at least one atom", 4),
+        ("(ylist)", "ylist needs at least one entry", 6),
+        ("(zlist)", "zlist needs at least one row", 6),
+        ("(zlist (cw 1))", "expected 'cyc', found 'cw'", 8),
+        ("(p (cyc (rat 1 1)) (zlist (cyc (rat 1 1))))", "expected 'ylist', found 'zlist'", 20),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_any(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
 
 def test_parse_ppoint_validates():
