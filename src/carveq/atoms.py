@@ -6,6 +6,7 @@ variants: exact rationals in lowest terms, tagged atoms (an atom paired
 injectively with a bit), and word atoms wrapping a canonical cyclic word.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -129,7 +130,9 @@ class AtomSet:
     """Finite set of atoms in canonical storage.
 
     Elements are sorted by the atom order and duplicate-free, so set
-    equality coincides with structural equality of the storage.
+    equality coincides with structural equality of the storage.  The hash
+    and :meth:`sort_key` are derived from ``elements`` alone, so each is
+    computed on first use and kept on the instance (not as a field).
     """
 
     elements: tuple
@@ -141,6 +144,23 @@ class AtomSet:
         canon = tuple(sorted(set(self.elements), key=atom_sort_key))
         object.__setattr__(self, "elements", canon)
 
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.elements,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def sort_key(self):
+        """Total order on atom sets: cardinality first, then elementwise
+        atom order.  Any total order works for canonical storage; this one
+        is cheap and stable."""
+        key = self.__dict__.get("_sort_key")
+        if key is None:
+            key = (len(self.elements), tuple(atom_sort_key(a) for a in self.elements))
+            object.__setattr__(self, "_sort_key", key)
+        return key
+
     def __contains__(self, a):
         return a in self.elements
 
@@ -151,7 +171,11 @@ class AtomSet:
         return iter(self.elements)
 
     def union(self, other):
-        return AtomSet(self.elements + other.elements)
+        # Both sides are sorted runs, which sorted() detects and merges in
+        # one pass; each is duplicate-free, so a shared atom lands next to
+        # its copy.
+        merged = sorted(self.elements + other.elements, key=atom_sort_key)
+        return AtomSet._trusted(tuple(a for a, _ in itertools.groupby(merged)))
 
     def intersection(self, other):
         return AtomSet._trusted(tuple(a for a in self.elements if a in other.elements))
@@ -170,7 +194,8 @@ class AtomSet:
         Only for tuples that are canonical by construction: atoms, sorted by
         the atom order, duplicate-free.  A subsequence of a canonical tuple
         is one (order and distinctness survive dropping elements), so any
-        filter of another set's ``elements`` qualifies.
+        filter of another set's ``elements`` qualifies, and so does the
+        merge of two canonical tuples with adjacent repeats dropped.
         """
         aset = object.__new__(cls)
         object.__setattr__(aset, "elements", elements)

@@ -5,17 +5,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .atoms import AtomSet, CyclicWord, Rational, atom_sort_key, primitive_root
+from .atoms import AtomSet, CyclicWord, Rational, primitive_root
 from .codes import CycW, Cyclic, Pullback, YSeq, binseq_eq, binseq_value_at, pullback, range_set
 from .errors import ResourceLimit
 from .relations import PPoint
 
 
 def atomset_sort_key(s):
-    """Total order on atom sets: cardinality first, then elementwise atom
-    order.  Any total order works for canonical storage; this one is cheap
-    and stable."""
-    return (len(s), tuple(atom_sort_key(a) for a in s))
+    """The total order on atom sets of :meth:`AtomSet.sort_key`."""
+    return s.sort_key()
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .codes import (
 )
 from .errors import CarveqError, DomainViolation, StructuralMismatch, TypeMismatch
 from .generators import gen_atom_pair, gen_cyclic_pair, gen_yseq_pair, gen_zcode_pair, stream
-from .relations import ATOM_EQ, E_REL, F_REL, EqRelHandle, PPoint, g_handle, jump, product, rel_F
+from .relations import ATOM_EQ, E_REL, F_REL, EqRelHandle, PPoint, g_handle, jump, product
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,10 @@ def fiber_reduction(x0):
         raise StructuralMismatch("fiber basepoints must be cyclic codes")
     from .relations import restrict_to_fiber
 
+    rng0 = range_set(x0)
+
     def fmap(p):
-        if not isinstance(p, PPoint) or not rel_F(p.x, x0):
+        if not isinstance(p, PPoint) or range_set(p.x) != rng0:
             raise DomainViolation("point outside the fiber of the basepoint")
         first = {}
         for kp, a in grid_cells(p.x):

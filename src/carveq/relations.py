@@ -100,38 +100,56 @@ def g_handle():
 
 
 def _word_carve(x, word):
-    """Carve of a word over a cyclic x, with the first clause (3) witness.
+    """Carve of a word over x, with the first clause (3) witness.
 
-    One scan of positions below lcm(period(x), period(word)): both
-    m -> x(m) and the bit at m are periodic with that modulus, so the scan
-    is exhaustive.  The carve is the set of values seen with bit 1.  The
-    witness is (at, pos) for the first position pos whose value was first
-    seen at ``at`` with the other bit, or None when equal values always
-    carry equal bits.
+    Constant words carve everything or nothing over any base and never
+    clash.  Any other word needs a cyclic x and is decided by one scan of
+    positions below lcm(period(x), period(word)): both m -> x(m) and the
+    bit at m are periodic with that modulus, so the scan is exhaustive.
+    The carve is the set of values seen with bit 1.  The witness is
+    (at, pos) for the first position pos whose value was first seen at
+    ``at`` with the other bit, or None when equal values always carry
+    equal bits.
+
+    The result depends only on x and the word, so x keeps it: a plain
+    instance attribute ``_carves`` (not a field, so equality, hashing and
+    the printed form ignore it) maps the word's canonical bits to
+    (carve, witness).
     """
-    entries, bits = x.entries, word.bits
-    first_seen = {}
-    ones = set()
-    clash = None
-    for pos in range(math.lcm(len(entries), len(bits))):
-        val = entries[pos % len(entries)]
-        bit = bits[pos % len(bits)]
-        if bit == "1":
-            ones.add(val)
-        at, b0 = first_seen.setdefault(val, (pos, bit))
-        if b0 != bit and clash is None:
-            clash = (at, pos)
-    return AtomSet(tuple(ones)), clash
+    memo = x.__dict__.get("_carves")
+    if memo is None:
+        memo = {}
+        object.__setattr__(x, "_carves", memo)
+    found = memo.get(word.bits)
+    if found is not None:
+        return found
+    if word.is_constant():
+        found = (range_set(x) if word.bits == "1" else AtomSet(())), None
+    else:
+        entries, bits = x.entries, word.bits
+        first_seen = {}
+        ones = set()
+        clash = None
+        for pos in range(math.lcm(len(entries), len(bits))):
+            val = entries[pos % len(entries)]
+            bit = bits[pos % len(bits)]
+            if bit == "1":
+                ones.add(val)
+            at, b0 = first_seen.setdefault(val, (pos, bit))
+            if b0 != bit and clash is None:
+                clash = (at, pos)
+        found = AtomSet(tuple(ones)), clash
+    memo[word.bits] = found
+    return found
 
 
 def carve_pair(x, entry):
     """Subset of range(x) carved out by one binary-sequence entry.
 
-    Word entry over a cyclic x: the values seen with bit 1 in one scan
-    below lcm(period(x), period(word)) (:func:`_word_carve`).  Constant
-    words carve everything or nothing over any base.  A pullback entry must
-    sit over this very x; its stored set (already clipped to the base
-    range) is the carve.
+    Word entry: its carve from :func:`_word_carve`; only constant words
+    may sit over a pair-merge base.  A pullback entry must sit over this
+    very x; its stored set (already clipped to the base range) is the
+    carve.
     """
     if isinstance(entry, Pullback):
         if entry.base != x:
@@ -139,10 +157,11 @@ def carve_pair(x, entry):
         return entry.aset
     if not isinstance(entry, CycW):
         raise TypeError(f"not a binary-sequence code: {entry!r}")
-    if entry.word.is_constant():
-        return range_set(x) if entry.word.bits == "1" else AtomSet(())
     if not isinstance(x, Cyclic):
-        raise StructuralMismatch("non-constant word entry over a pair-merge base")
+        if not isinstance(x, PairMerge):
+            raise TypeError(f"not an atom-sequence code: {x!r}")
+        if not entry.word.is_constant():
+            raise StructuralMismatch("non-constant word entry over a pair-merge base")
     return _word_carve(x, entry.word)[0]
 
 
@@ -166,6 +185,7 @@ def _validate_membership(x, y):
     # Pullback entries satisfy it structurally (the bit is a function of the
     # value) and constant words trivially; a non-constant word entry (over a
     # cyclic x, by the check above) is decided by the scan that carves it.
+    # A kept scan result still raises here, on every validation.
     carves = []
     for k, entry in enumerate(y.entries):
         if isinstance(entry, CycW) and not entry.word.is_constant():
@@ -238,7 +258,9 @@ def restrict_to_fiber(x0):
     the same set as ``x0``."""
     from .serialize import aseq_to_text
 
+    rng0 = range_set(x0)
+
     def member(p):
-        return isinstance(p, PPoint) and rel_F(p.x, x0)
+        return isinstance(p, PPoint) and range_set(p.x) == rng0
 
     return EqRelHandle(name=f"E|{aseq_to_text(x0)}", decide=rel_E, member=member)

@@ -113,12 +113,17 @@ def partition_classes(items, rel):
 
 
 def naive_carve(x, entry):
-    """Carve oracle for a word entry over a cyclic x: plain scan over the
-    product of the two periods (a common multiple), native frozenset."""
-    span = len(x.entries) * len(entry.word.bits)
-    return frozenset(
-        x.entries[m % len(x.entries)] for m in range(span) if entry.word.bit_at(m)
-    )
+    """Carve oracle: the values at the indices whose bit is 1, by a plain
+    scan, native frozenset.  A word over a cyclic x is scanned below the
+    product of the two periods (a common multiple).  Over a pair-merge x the
+    entry is a pullback or a constant word, whose bit is a function of the
+    value, so the indices below saturation_bound, where every value occurs,
+    suffice."""
+    if isinstance(x, Cyclic):
+        span = len(x.entries) * len(entry.word.bits)
+    else:
+        span = saturation_bound(x)
+    return frozenset(value_at(x, m) for m in range(span) if binseq_value_at(entry, m))
 
 
 def naive_clause3_ok(x, y, span):

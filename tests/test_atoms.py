@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from carveq import (
     AtomSet,
@@ -120,6 +120,32 @@ def test_intersection_is_canonical(xs, ys, shared):
     meet = a.intersection(b)
     assert meet.elements == AtomSet(meet.elements).elements
     assert set(meet) == set(a) & set(b)
+
+
+@given(
+    st.lists(atoms, max_size=8),
+    st.lists(atoms, max_size=8),
+    st.lists(st.booleans(), max_size=8),
+)
+@example([Rational(1), Tag(0, Rational(1)), WordAtom("01")], [WordAtom("10"), Rational(1)], [True])
+def test_union_is_canonical(xs, ys, shared):
+    a = AtomSet(tuple(xs))
+    b = AtomSet(tuple(ys) + tuple(x for x, keep in zip(xs, shared) if keep))
+    join = a.union(b)
+    assert join.elements == AtomSet(join.elements).elements
+    assert set(join) == set(a) | set(b)
+    assert join == AtomSet(tuple(xs) + tuple(ys))
+
+
+@given(st.lists(atoms, max_size=8))
+def test_kept_hash_and_sort_key_match_for_trusted_sets(xs):
+    built = AtomSet(tuple(xs))
+    trusted = AtomSet._trusted(built.elements)
+    for s in (built, trusted, built, trusted):  # first use computes, second reads back
+        assert hash(s) == hash((built.elements,))
+        assert s.sort_key() == (len(built), tuple(atom_sort_key(a) for a in built))
+    assert built == trusted
+    assert repr(built) == repr(trusted) == f"AtomSet(elements={built.elements!r})"
 
 
 def test_atom_set_operations():

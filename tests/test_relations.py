@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -250,6 +251,56 @@ def test_validation_carves_match_carve_pair():
     for p in points:
         assert p.carves == tuple(carve_pair(p.x, e) for e in p.y.entries)
         assert carve_family(p) == frozenset(p.carves)
+
+
+def test_kept_carves_match_naive_scan():
+    # Each base keeps its word carves; a second point over the same base
+    # instance reads them back, and the base still compares, hashes and
+    # prints as a fresh copy does.
+    reused = 0
+    for seed in (3, 17, 101):
+        for i in range(60):
+            rng = stream(seed, i)
+            for p in (
+                gen_ppoint(rng, CFG)[0],
+                embed_fs2(gen_zcode(rng, CFG.universe(), CFG.max_period, CFG.max_entries)),
+            ):
+                again = PPoint(p.x, YSeq(p.y.entries[::-1]))
+                assert all(a is b for a, b in zip(again.carves, p.carves[::-1]))
+                for q in (p, again):
+                    for entry, aset in zip(q.y.entries, q.carves):
+                        assert set(aset) == naive_carve(q.x, entry)
+                fresh = type(p.x)(*(getattr(p.x, f.name) for f in dataclasses.fields(p.x)))
+                assert (p.x, hash(p.x), repr(p.x)) == (fresh, hash(fresh), repr(fresh))
+                reused += sum(isinstance(e, CycW) for e in p.y.entries)
+    assert reused
+    assert [f.name for f in dataclasses.fields(Cyclic)] == ["entries"]
+    assert [f.name for f in dataclasses.fields(PairMerge)] == ["z"]
+
+
+def test_clause3_witness_is_the_same_when_raised_again():
+    x = Cyclic((R1, R1, R2))
+    for y, witness in (
+        (YSeq((CycW("1"), CycW("100"))), (1, 0, 1)),
+        (YSeq((CycW("1"), CycW("100"))), (1, 0, 1)),
+        (YSeq((CycW("100"),)), (0, 0, 1)),
+    ):
+        with pytest.raises(ClauseViolation) as err:
+            PPoint(x, y)
+        assert (err.value.clause, err.value.witness) == (3, witness)
+
+
+def test_constant_words_over_a_pair_merge_base():
+    x = PairMerge(ZCode((Cyclic((R1, R2)), Cyclic((R3,)))))
+    full = carve_pair(x, CycW("1"))
+    assert full == range_set(x) == AtomSet.of(R1, R2, R3)
+    assert carve_pair(x, CycW("11")) is full
+    assert carve_pair(x, CycW("0")) == AtomSet(())
+    p = PPoint(x, YSeq((CycW("1"), pullback(x, AtomSet.of(R3)))))
+    assert p.carves == (full, AtomSet.of(R3))
+    with pytest.raises(ClauseViolation) as err:
+        PPoint(x, YSeq((CycW("1"), CycW("0"))))
+    assert (err.value.clause, err.value.witness) == (2, (1,))
 
 
 def test_carves_outside_equality_and_text():
