@@ -49,7 +49,6 @@ from .generators import FuzzConfig, SplitMix64, stream
 from .invariants import (
     SetOfAtomSets,
     atom_universe,
-    atomset_sort_key,
     binseq_class_rep,
     closed_form,
     count_classes,

@@ -6,7 +6,6 @@ variants: exact rationals in lowest terms, tagged atoms (an atom paired
 injectively with a bit), and word atoms wrapping a canonical cyclic word.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -132,10 +131,13 @@ class AtomSet:
     Elements are sorted by the atom order and duplicate-free, so set
     equality coincides with structural equality of the storage.  The hash
     and :meth:`sort_key` are derived from ``elements`` alone, so each is
-    computed on first use and kept on the instance (not as a field).
+    computed on first use and kept on the instance.  The class attributes
+    below are the "not yet computed" defaults, not fields.
     """
 
     elements: tuple
+    _hash = None
+    _sort_key = None
 
     def __post_init__(self):
         for a in self.elements:
@@ -145,7 +147,7 @@ class AtomSet:
         object.__setattr__(self, "elements", canon)
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.elements,))
             object.__setattr__(self, "_hash", h)
@@ -155,7 +157,7 @@ class AtomSet:
         """Total order on atom sets: cardinality first, then elementwise
         atom order.  Any total order works for canonical storage; this one
         is cheap and stable."""
-        key = self.__dict__.get("_sort_key")
+        key = self._sort_key
         if key is None:
             key = (len(self.elements), tuple(atom_sort_key(a) for a in self.elements))
             object.__setattr__(self, "_sort_key", key)
@@ -171,11 +173,7 @@ class AtomSet:
         return iter(self.elements)
 
     def union(self, other):
-        # Both sides are sorted runs, which sorted() detects and merges in
-        # one pass; each is duplicate-free, so a shared atom lands next to
-        # its copy.
-        merged = sorted(self.elements + other.elements, key=atom_sort_key)
-        return AtomSet._trusted(tuple(a for a, _ in itertools.groupby(merged)))
+        return AtomSet(self.elements + other.elements)
 
     def intersection(self, other):
         return AtomSet._trusted(tuple(a for a in self.elements if a in other.elements))
@@ -194,8 +192,7 @@ class AtomSet:
         Only for tuples that are canonical by construction: atoms, sorted by
         the atom order, duplicate-free.  A subsequence of a canonical tuple
         is one (order and distinctness survive dropping elements), so any
-        filter of another set's ``elements`` qualifies, and so does the
-        merge of two canonical tuples with adjacent repeats dropped.
+        filter of another set's ``elements`` qualifies.
         """
         aset = object.__new__(cls)
         object.__setattr__(aset, "elements", elements)

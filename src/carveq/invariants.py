@@ -11,11 +11,6 @@ from .errors import ResourceLimit
 from .relations import PPoint
 
 
-def atomset_sort_key(s):
-    """The total order on atom sets of :meth:`AtomSet.sort_key`."""
-    return s.sort_key()
-
-
 @dataclass(frozen=True)
 class SetOfAtomSets:
     """Canonical finite family of atom sets: sorted, duplicate-free storage,
@@ -27,7 +22,7 @@ class SetOfAtomSets:
         for s in self.elements:
             if not isinstance(s, AtomSet):
                 raise TypeError(f"not an AtomSet: {s!r}")
-        canon = tuple(sorted(set(self.elements), key=atomset_sort_key))
+        canon = tuple(sorted(set(self.elements), key=AtomSet.sort_key))
         object.__setattr__(self, "elements", canon)
 
     def __contains__(self, s):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -146,6 +148,9 @@ def test_kept_hash_and_sort_key_match_for_trusted_sets(xs):
         assert s.sort_key() == (len(built), tuple(atom_sort_key(a) for a in built))
     assert built == trusted
     assert repr(built) == repr(trusted) == f"AtomSet(elements={built.elements!r})"
+    # The kept values live on each instance; the class keeps its defaults.
+    assert (AtomSet._hash, AtomSet._sort_key) == (None, None)
+    assert [f.name for f in dataclasses.fields(AtomSet)] == ["elements"]
 
 
 def test_atom_set_operations():
