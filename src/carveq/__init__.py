@@ -32,6 +32,7 @@ from .codes import (
     grid_cells,
     iota,
     pullback,
+    range_atoms,
     range_set,
     saturation_bound,
     value_at,

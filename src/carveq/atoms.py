@@ -172,14 +172,8 @@ class AtomSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def union(self, other):
-        return AtomSet(self.elements + other.elements)
-
     def intersection(self, other):
         return AtomSet._trusted(tuple(a for a in self.elements if a in other.elements))
-
-    def issubset(self, other):
-        return all(a in other.elements for a in self.elements)
 
     @staticmethod
     def of(*atoms):

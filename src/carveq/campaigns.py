@@ -6,7 +6,7 @@ another, and reports every disagreement.
 """
 
 from .atoms import AtomSet
-from .codes import Cyclic, YSeq, binseq_eq, iota, pullback, range_set
+from .codes import Cyclic, YSeq, binseq_eq, iota, pullback, range_atoms, range_set
 from .generators import gen_covering_family, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream
 from .invariants import e_invariant, fs2_invariant
 from .reductions import VerificationReport, Violation, canonical_basepoint, check_sampled, fiber_reduction
@@ -141,10 +141,7 @@ def campaign_remark(cfg):
                 Violation(i, f"{ppoint_to_text(p1)} | {ppoint_to_text(p2)}", "E", "not F")
             )
         for point in (p1, p2):
-            covered = AtomSet(())
-            for n in range(len(point.y.entries)):
-                covered = covered.union(carve(point, n))
-            if covered != range_set(point.x):
+            if set().union(*point.carves) != range_atoms(point.x):
                 report.violations.append(
                     Violation(i, f"carves do not union to the range: {ppoint_to_text(point)}", "union", "range")
                 )

@@ -111,14 +111,22 @@ def grid_cells(x):
     raise TypeError(f"not an atom-sequence code: {x!r}")
 
 
-def range_set(x):
-    """The set of values the denoted sequence ever takes, canonical: the
-    entries of a cyclic code, the union of the rows of a pair-merge."""
+def range_atoms(x):
+    """The set of values the denoted sequence ever takes, as a frozenset:
+    the entries of a cyclic code, the union of the rows of a pair-merge.
+    Unordered, so it answers membership and equality only; anything that
+    iterates the range in order or keeps it reads :func:`range_set`."""
     if isinstance(x, Cyclic):
-        return AtomSet(x.entries)
+        return frozenset(x.entries)
     if isinstance(x, PairMerge):
-        return AtomSet(tuple(set().union(*(row.entries for row in x.z.entries))))
+        return frozenset().union(*(row.entries for row in x.z.entries))
     raise TypeError(f"not an atom-sequence code: {x!r}")
+
+
+def range_set(x):
+    """The canonical AtomSet of :func:`range_atoms`: the range sorted by
+    the atom order."""
+    return AtomSet(tuple(range_atoms(x)))
 
 
 @dataclass(frozen=True)
@@ -149,8 +157,8 @@ class Pullback:
     def __post_init__(self):
         if not isinstance(self.base, PairMerge):
             raise ValueError("Pullback keeps only pair-merge bases; use pullback()")
-        rng = range_set(self.base)
-        if not self.aset.issubset(rng) or len(self.aset) == 0 or self.aset == rng:
+        rng = range_atoms(self.base)
+        if not 0 < len(self.aset) < len(rng) or not all(a in rng for a in self.aset.elements):
             raise ValueError(
                 "Pullback set must be a proper nonempty subset of the base range; "
                 "use pullback()"
@@ -163,20 +171,21 @@ BinSeqCode = Union[CycW, Pullback]
 def pullback(base, aset):
     """Normalized binary-sequence code for k -> [value_at(base, k) in aset].
 
-    The set is clipped to the base range; an empty or full clip yields the
-    constant word, and a cyclic base is evaluated through to a word of one
-    base period.
+    The set is clipped to the base range (:func:`range_atoms`): the kept
+    elements are a filter of the canonical tuple, so they stay canonical
+    without sorting again.  An empty or full clip yields the constant word,
+    and a cyclic base is evaluated through to a word of one base period.
     """
-    rng = range_set(base)
-    aset = aset.intersection(rng)
-    if len(aset) == 0:
+    rng = range_atoms(base)
+    kept = tuple(a for a in aset.elements if a in rng)
+    if not kept:
         return CycW(CyclicWord("0"))
-    if aset == rng:
+    if len(kept) == len(rng):
         return CycW(CyclicWord("1"))
     if isinstance(base, Cyclic):
-        bits = "".join("1" if a in aset else "0" for a in base.entries)
+        bits = "".join("1" if a in kept else "0" for a in base.entries)
         return CycW(CyclicWord(bits))
-    return Pullback(base, aset)
+    return Pullback(base, AtomSet._trusted(kept))
 
 
 def binseq_value_at(b, k):

@@ -123,10 +123,8 @@ def gen_covering_family(rng, base_atoms, max_sets):
     """Nonempty family of nonempty subsets of ``base_atoms`` whose union is
     the whole base, as a tuple of AtomSets (may repeat)."""
     count = rng.randint(1, max_sets)
-    family = [AtomSet(gen_subset(rng, base_atoms)) for _ in range(count)]
-    covered = AtomSet(())
-    for aset in family:
-        covered = covered.union(aset)
+    family = [AtomSet._trusted(gen_subset(rng, base_atoms)) for _ in range(count)]
+    covered = set().union(*family)
     missing = tuple(a for a in base_atoms if a not in covered)
     if missing:
         extra = missing if rng.coin() else tuple(base_atoms)

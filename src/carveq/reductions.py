@@ -20,6 +20,7 @@ from .codes import (
     binseq_value_at,
     grid_cells,
     iota,
+    range_atoms,
     range_set,
 )
 from .errors import CarveqError, DomainViolation, StructuralMismatch, TypeMismatch
@@ -76,10 +77,10 @@ def fiber_reduction(x0):
         raise StructuralMismatch("fiber basepoints must be cyclic codes")
     from .relations import restrict_to_fiber
 
-    rng0 = range_set(x0)
+    rng0 = range_atoms(x0)
 
     def fmap(p):
-        if not isinstance(p, PPoint) or range_set(p.x) != rng0:
+        if not isinstance(p, PPoint) or range_atoms(p.x) != rng0:
             raise DomainViolation("point outside the fiber of the basepoint")
         first = {}
         for kp, a in grid_cells(p.x):

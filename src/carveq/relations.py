@@ -20,6 +20,7 @@ from .codes import (
     YSeq,
     binseq_eq,
     grid_cells,
+    range_atoms,
     range_set,
 )
 from .errors import ClauseViolation, DomainViolation, StructuralMismatch
@@ -76,10 +77,10 @@ def product(e1, e2):
 def rel_F(x, x2):
     """Two atom-sequence codes relate iff they enumerate the same set.
 
-    Decided through range-set invariants; equivalent to the mutual
-    forall/exists matching of values, and cheaper.
+    Decided by comparing the two ranges as frozensets (:func:`range_atoms`);
+    equivalent to the mutual forall/exists matching of values, and cheaper.
     """
-    return range_set(x) == range_set(x2)
+    return range_atoms(x) == range_atoms(x2)
 
 
 F_REL = EqRelHandle("F", rel_F)
@@ -258,9 +259,9 @@ def restrict_to_fiber(x0):
     the same set as ``x0``."""
     from .serialize import aseq_to_text
 
-    rng0 = range_set(x0)
+    rng0 = range_atoms(x0)
 
     def member(p):
-        return isinstance(p, PPoint) and range_set(p.x) == rng0
+        return isinstance(p, PPoint) and range_atoms(p.x) == rng0
 
     return EqRelHandle(name=f"E|{aseq_to_text(x0)}", decide=rel_E, member=member)

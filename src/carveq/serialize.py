@@ -142,19 +142,29 @@ class _Parser:
         if self.pos != len(self.tokens):
             self.error("trailing input after complete form")
 
+    def _to_int(self, tok):
+        """int() of the digit token just consumed; a token with more digits
+        than int() converts is a parse error at its position."""
+        try:
+            return int(tok)
+        except ValueError:
+            self.pos -= 1
+            self.error(f"integer too long to convert ({len(tok)} characters)")
+
     def int_token(self):
         tok = self.next()
         if not _INT_RE.match(tok):
             self.pos -= 1
             self.error(f"expected an integer, found {tok!r}")
-        return int(tok)
+        return self._to_int(tok)
 
     def posint_token(self):
         tok = self.next()
-        if not _POSINT_RE.match(tok) or int(tok) == 0:
+        value = self._to_int(tok) if _POSINT_RE.match(tok) else 0
+        if value == 0:
             self.pos -= 1
             self.error(f"expected a positive integer, found {tok!r}")
-        return int(tok)
+        return value
 
     def bit_token(self):
         tok = self.next()

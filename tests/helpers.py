@@ -20,6 +20,7 @@ from carveq import (
     ZCode,
     binseq_value_at,
     pullback,
+    range_set,
     saturation_bound,
     stream,
     value_at,
@@ -81,6 +82,21 @@ def sequence_class(b):
             for i in range(n)
         ]
     return _root(tuple(_root(row) for row in rows))
+
+
+def reference_pullback(base, aset):
+    """Pullback oracle through canonical AtomSets: clip by ``intersection``
+    with ``range_set``, compare the clip with the range by AtomSet
+    equality."""
+    rng = range_set(base)
+    aset = aset.intersection(rng)
+    if len(aset) == 0:
+        return CycW("0")
+    if aset == rng:
+        return CycW("1")
+    if isinstance(base, Cyclic):
+        return CycW("".join("1" if a in aset else "0" for a in base.entries))
+    return Pullback(base, aset)
 
 
 def scan_first_indices(x):

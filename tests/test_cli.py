@@ -219,6 +219,12 @@ def test_echo_errors(capsys):
     assert "ClauseViolation" in err
 
 
+def test_echo_overlong_integer_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "echo", "(rat 1 " + "7" * 5000 + ")")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "(at position 7)" in err
+
+
 def test_echo_rejects_deep_tags(capsys):
     def nested(depth):
         return "(tag 0 " * depth + "(rat 1 1)" + ")" * depth

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from carveq import (
     AtomSet,
@@ -10,6 +10,7 @@ from carveq import (
     Pullback,
     Rational,
     Tag,
+    WordAtom,
     YSeq,
     ZCode,
     binseq_eq,
@@ -19,6 +20,7 @@ from carveq import (
     iota,
     pullback,
     range_set,
+    rel_F,
     saturation_bound,
     stream,
     value_at,
@@ -33,6 +35,7 @@ from helpers import (
     WORD_001,
     agree_below,
     binseq_sample,
+    reference_pullback,
     scan_first_indices,
     sequence_class,
 )
@@ -200,6 +203,49 @@ def test_pullback_constructor_rejects_unnormalized():
         Pullback(Cyclic((A, B)), AtomSet.of(A))
     with pytest.raises(ValueError):
         Pullback(PM, AtomSet.of(A, B))
+
+
+def test_pullback_gate_on_pair_merge():
+    w, t = WordAtom("01"), Tag(0, A)
+    base = PairMerge(ZCode((Cyclic((A, t)), Cyclic((w, A)))))
+    # empty, full, and one atom outside the range in a set smaller than it
+    for bad in (AtomSet(()), AtomSet.of(A, t, w), AtomSet.of(A, Rational(5, 1))):
+        with pytest.raises(ValueError):
+            Pullback(base, bad)
+    assert Pullback(base, AtomSet.of(t, w)).aset == AtomSet.of(t, w)
+
+
+# A few atoms of every variant; bases draw from them, sets also from OUTSIDE,
+# which no base contains.
+MIXED = (A, B, Tag(0, A), Tag(1, WordAtom("01")), WordAtom("01"), WordAtom("011"))
+OUTSIDE = Rational(-7, 3)
+mixed_rows = st.lists(st.sampled_from(MIXED), min_size=1, max_size=4).map(lambda es: Cyclic(tuple(es)))
+mixed_bases = mixed_rows | st.lists(mixed_rows, min_size=1, max_size=3).map(
+    lambda rows: PairMerge(ZCode(tuple(rows)))
+)
+
+
+@settings(derandomize=True)
+@given(
+    mixed_bases,
+    st.lists(st.sampled_from(MIXED + (OUTSIDE,)), max_size=7),
+    st.sampled_from(("drawn", "empty", "full", "full+outside")),
+)
+def test_pullback_matches_reference(base, picked, kind):
+    full = tuple(range_set(base))
+    aset = {
+        "drawn": AtomSet(tuple(picked)),
+        "empty": AtomSet(()),
+        "full": AtomSet(full),
+        "full+outside": AtomSet(full + (OUTSIDE,)),
+    }[kind]
+    assert pullback(base, aset) == reference_pullback(base, aset)
+
+
+@settings(derandomize=True)
+@given(mixed_bases, mixed_bases)
+def test_rel_f_is_range_set_equality(x, x2):
+    assert rel_F(x, x2) == (range_set(x) == range_set(x2))
 
 
 def test_code_constructors_reject_garbage():

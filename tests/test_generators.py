@@ -4,8 +4,12 @@ from carveq import (
     Cyclic,
     FuzzConfig,
     PPoint,
+    AtomSet,
     PairMerge,
+    Rational,
     SplitMix64,
+    Tag,
+    WordAtom,
     rel_E,
     stream,
     to_text,
@@ -72,6 +76,28 @@ def test_covering_family_covers():
             union |= set(aset)
         assert union == set(base)
         assert all(len(aset) for aset in family)
+
+
+# (seed, next_u64 after the call), pinned: a change to which draws the
+# covering family makes, or how many, shifts these values, and with them
+# every generated point.  Seed 2 takes the branch that appends a missing set.
+COVERING_NEXT_U64 = (
+    (0, 10757981964375511926),
+    (1, 18120830055417983451),
+    (2, 4086292742513199618),
+    (7, 8049716563906477082),
+)
+
+
+@pytest.mark.parametrize("seed, after", COVERING_NEXT_U64)
+def test_covering_family_sets_are_canonical(seed, after):
+    base = (WordAtom("01"), Rational(3, 1), Tag(1, Rational(1, 2)), Rational(1, 1), Tag(0, WordAtom("011")))
+    rng = stream(seed, 0)
+    family = gen_covering_family(rng, base, 4)
+    for aset in family:
+        assert aset.elements == AtomSet(aset.elements).elements
+    assert set().union(*family) == set(base)
+    assert rng.next_u64() == after
 
 
 def test_infiber_pairs_cover_both_outcomes():

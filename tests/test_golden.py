@@ -83,6 +83,9 @@ def test_echo_golden(capsys):
 HASH_SEED_RUNS = (
     ("verify", "gtof"),
     ("verify", "claim", "--cases", "100"),
+    ("verify", "remark", "--cases", "100"),
+    ("echo", "(pull (pairmerge (zlist (cyc (word 01) (tag 1 (word 0)) (rat 1 1))"
+     " (cyc (tag 0 (word 011)) (word 1)))) (set (word 1) (tag 1 (word 0)) (word 01)))"),
     ("chain", "--cases", "50"),
     ("count", "--n", "3"),
 )

@@ -87,6 +87,16 @@ def test_typed_entry_points():
     assert p.x == Cyclic((R1,))
 
 
+def test_overlong_integer_is_a_parse_error():
+    digits = "1" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_any(f"(rat {digits} 1)")
+    assert err.value.position == 5
+    with pytest.raises(ParseError) as err:
+        parse_any(f"(p (cyc (rat 1 {digits})) (ylist (cw 1)))")
+    assert err.value.position == 15
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_any("(cw )")
