@@ -77,7 +77,7 @@ class Tag:
     inner: "Atom"
 
     def __post_init__(self):
-        if self.bit not in (0, 1):
+        if type(self.bit) is not int or self.bit not in (0, 1):
             raise ValueError("bit must be 0 or 1")
         depth, inner = 1, self.inner
         while isinstance(inner, Tag):
@@ -93,6 +93,8 @@ class WordAtom:
     def __post_init__(self):
         if isinstance(self.word, str):
             object.__setattr__(self, "word", CyclicWord(self.word))
+        elif not isinstance(self.word, CyclicWord):
+            raise TypeError("WordAtom wraps a CyclicWord")
 
 
 Atom = Union[Rational, Tag, WordAtom]
@@ -171,9 +173,6 @@ class AtomSet:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def intersection(self, other):
-        return AtomSet._trusted(tuple(a for a in self.elements if a in other.elements))
 
     @staticmethod
     def of(*atoms):

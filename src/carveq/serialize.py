@@ -9,6 +9,10 @@ Grammar (whitespace-insensitive between tokens):
     zcode  := "(zlist" {" " "(cyc" {" " atom}+ ")"}+ ")"
     ppoint := "(p " aseq " " yseq ")"
 
+Tokens are parentheses and maximal runs of characters that are neither
+parentheses nor whitespace, where whitespace is ``str.isspace`` (Unicode
+included).  Error positions count characters from the start of the text.
+
 The printer emits canonical forms (single spaces, lowest terms, primitive
 words, normalized pullbacks); the parser builds values through the normal
 constructors, so print . parse is idempotent and parse . print is the
@@ -21,9 +25,13 @@ from .atoms import MAX_TAG_DEPTH, AtomSet, Rational, Tag, WordAtom
 from .codes import CycW, Cyclic, PairMerge, Pullback, YSeq, ZCode, pullback
 from .errors import ParseError
 
-_INT_RE = re.compile(r"-?\d+\Z")
-_POSINT_RE = re.compile(r"\d+\Z")
-_BITS_RE = re.compile(r"[01]+\Z")
+# On a str pattern \s matches exactly the characters for which str.isspace
+# is true.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+_INT = re.compile(r"-?\d+")
+_POSINT = re.compile(r"\d+")
+_BIT = re.compile(r"[01]")
+_BITS = re.compile(r"[01]+")
 
 
 def atom_to_text(a):
@@ -49,8 +57,7 @@ def binseq_to_text(b):
         return f"(cw {b.word.bits})"
     if isinstance(b, Pullback):
         inner = " ".join(atom_to_text(a) for a in b.aset)
-        joint = f" {inner}" if inner else ""
-        return f"(pull {aseq_to_text(b.base)} (set{joint}))"
+        return f"(pull {aseq_to_text(b.base)} (set {inner}))"
     raise TypeError(f"not a binary-sequence code: {b!r}")
 
 
@@ -85,40 +92,23 @@ def to_text(value):
     raise TypeError(f"not serializable: {value!r}")
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            tokens.append((c, i))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        tokens.append((text[i:j], i))
-        i = j
-    return tokens
-
-
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
 
     def error(self, message):
-        at = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
-        raise ParseError(message, at)
+        """Raise at the start of token ``pos``, or at the end of the text
+        past the last token.  Only a failing parse needs positions, so they
+        are found here by scanning the text again."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        raise ParseError(message, (starts + [len(self.text)])[self.pos])
 
     def peek(self):
         if self.pos >= len(self.tokens):
             self.error("unexpected end of input")
-        return self.tokens[self.pos][0]
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.peek()
@@ -142,6 +132,15 @@ class _Parser:
         if self.pos != len(self.tokens):
             self.error("trailing input after complete form")
 
+    def token(self, pattern, noun):
+        """Consume and return a token that ``pattern`` matches in full, or
+        raise ``expected <noun>, found <token>`` at it."""
+        tok = self.peek()
+        if not pattern.fullmatch(tok):
+            self.error(f"expected {noun}, found {tok!r}")
+        self.pos += 1
+        return tok
+
     def _to_int(self, tok):
         """int() of the digit token just consumed; a token with more digits
         than int() converts is a parse error at its position."""
@@ -151,46 +150,21 @@ class _Parser:
             self.pos -= 1
             self.error(f"integer too long to convert ({len(tok)} characters)")
 
-    def int_token(self):
-        tok = self.next()
-        if not _INT_RE.match(tok):
-            self.pos -= 1
-            self.error(f"expected an integer, found {tok!r}")
-        return self._to_int(tok)
-
-    def posint_token(self):
-        tok = self.next()
-        value = self._to_int(tok) if _POSINT_RE.match(tok) else 0
-        if value == 0:
-            self.pos -= 1
-            self.error(f"expected a positive integer, found {tok!r}")
-        return value
-
-    def bit_token(self):
-        tok = self.next()
-        if tok not in ("0", "1"):
-            self.pos -= 1
-            self.error(f"expected a bit, found {tok!r}")
-        return int(tok)
-
-    def bits_token(self):
-        tok = self.next()
-        if not _BITS_RE.match(tok):
-            self.pos -= 1
-            self.error(f"expected a 0/1 string, found {tok!r}")
-        return tok
-
     def atom(self, depth=0):
         kw = self.head()
         if kw == "rat":
             self.next()
-            num = self.int_token()
-            den = self.posint_token()
+            num = self._to_int(self.token(_INT, "an integer"))
+            tok = self.token(_POSINT, "a positive integer")
+            den = self._to_int(tok)
+            if den == 0:
+                self.pos -= 1
+                self.error(f"expected a positive integer, found {tok!r}")
             self.expect(")")
             return Rational(num, den)
         if kw == "tag":
             self.next()
-            bit = self.bit_token()
+            bit = int(self.token(_BIT, "a bit"))
             if depth == MAX_TAG_DEPTH:
                 self.error(f"tags nested deeper than {MAX_TAG_DEPTH}")
             inner = self.atom(depth + 1)
@@ -198,7 +172,7 @@ class _Parser:
             return Tag(bit, inner)
         if kw == "word":
             self.next()
-            bits = self.bits_token()
+            bits = self.token(_BITS, "a 0/1 string")
             self.expect(")")
             return WordAtom(bits)
         self.error(f"expected an atom keyword, found {kw!r}")
@@ -237,7 +211,7 @@ class _Parser:
         kw = self.head()
         if kw == "cw":
             self.next()
-            bits = self.bits_token()
+            bits = self.token(_BITS, "a 0/1 string")
             self.expect(")")
             return CycW(bits)
         if kw == "pull":

@@ -25,7 +25,8 @@ from carveq import (
     stream,
     value_at,
 )
-from carveq.generators import gen_binseq
+from carveq.generators import gen_binseq, gen_serial_value
+from carveq.serialize import to_text
 
 R1, R2, R3, R4, R5, R6 = (Rational(i, 1) for i in range(1, 7))
 UNIVERSE3 = (R1, R2, R3)
@@ -85,11 +86,11 @@ def sequence_class(b):
 
 
 def reference_pullback(base, aset):
-    """Pullback oracle through canonical AtomSets: clip by ``intersection``
-    with ``range_set``, compare the clip with the range by AtomSet
-    equality."""
+    """Pullback oracle through canonical AtomSets: clip against
+    ``range_set`` into a new AtomSet, compare the clip with the range by
+    AtomSet equality."""
     rng = range_set(base)
-    aset = aset.intersection(rng)
+    aset = AtomSet(tuple(a for a in aset if a in rng))
     if len(aset) == 0:
         return CycW("0")
     if aset == rng:
@@ -182,3 +183,53 @@ def partition_indexes(items, key):
     for i, item in enumerate(items):
         groups.setdefault(key(item), []).append(i)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def reference_tokens(text):
+    """Tokenizer oracle: a character scan returning (token, start) pairs.
+    Tokens are parentheses and maximal runs of characters that are neither
+    parentheses nor ``str.isspace``."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "()":
+            tokens.append((c, i))
+            i += 1
+            continue
+        j = i
+        while j < len(text) and not text[j].isspace() and text[j] not in "()":
+            j += 1
+        tokens.append((text[i:j], i))
+        i = j
+    return tokens
+
+
+# Characters a mutation may insert: structure, digits, a sign, a letter,
+# ASCII and Unicode whitespace.
+MUTATION_ALPHABET = "() 0129-x\t\u3000"
+
+
+def mutated_texts(seed, n):
+    """``n`` canonical texts of ``gen_serial_value`` values, each hit by 1-3
+    single-character deletions, insertions or truncations.  Every draw
+    comes from ``stream(seed, i)``, so the texts are the same on every run."""
+    cfg = FuzzConfig(cases=0, max_period=4, max_entries=3, atom_universe=3)
+    texts = []
+    for i in range(n):
+        rng = stream(seed, i)
+        text = to_text(gen_serial_value(rng, cfg))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            kind = rng.randrange(3)
+            if kind == 0:
+                text = text[:at] + text[at + 1:]
+            elif kind == 1:
+                text = text[:at] + rng.choice(MUTATION_ALPHABET) + text[at:]
+            else:
+                text = text[:at]
+        texts.append(text)
+    return texts

@@ -37,8 +37,9 @@ def test_rational_lowest_terms():
 
 def test_tag_distinct_bits():
     assert not atom_eq(Tag(0, Rational(1, 1)), Tag(1, Rational(1, 1)))
-    with pytest.raises(ValueError):
-        Tag(2, Rational(1, 1))
+    for bit in (2, True, 1.0):
+        with pytest.raises(ValueError):
+            Tag(bit, Rational(1, 1))
 
 
 def test_tag_depth_cap_through_the_api():
@@ -111,19 +112,6 @@ def test_atom_set_canonical_storage():
     assert list(s1) == sorted(s1, key=atom_sort_key)
 
 
-@given(
-    st.lists(atoms, max_size=8),
-    st.lists(atoms, max_size=8),
-    st.lists(st.booleans(), max_size=8),
-)
-def test_intersection_is_canonical(xs, ys, shared):
-    a = AtomSet(tuple(xs))
-    b = AtomSet(tuple(ys) + tuple(x for x, keep in zip(xs, shared) if keep))
-    meet = a.intersection(b)
-    assert meet.elements == AtomSet(meet.elements).elements
-    assert set(meet) == set(a) & set(b)
-
-
 @given(st.lists(atoms, max_size=8))
 def test_kept_hash_and_sort_key_match_for_trusted_sets(xs):
     built = AtomSet(tuple(xs))
@@ -140,6 +128,4 @@ def test_kept_hash_and_sort_key_match_for_trusted_sets(xs):
 
 def test_atom_set_operations():
     s = AtomSet.of(Rational(1, 1), Rational(2, 1))
-    t = AtomSet.of(Rational(2, 1), Rational(3, 1))
-    assert s.intersection(t) == AtomSet.of(Rational(2, 1))
     assert Rational(1, 1) in s and Rational(3, 1) not in s

@@ -6,6 +6,8 @@ import pytest
 from carveq import FuzzConfig, StructuralMismatch, campaigns, parse_any, reductions, stream
 from carveq.cli import main
 
+from helpers import mutated_texts
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -223,6 +225,16 @@ def test_echo_overlong_integer_is_a_parse_error(capsys):
     code, out, err = run(capsys, "echo", "(rat 1 " + "7" * 5000 + ")")
     assert code == 2 and out == ""
     assert err.startswith("parse error:") and "(at position 7)" in err
+
+
+def test_echo_exits_0_or_2_on_mutated_texts(capsys):
+    # "--" ends option parsing, so a text that starts with "-" reaches the
+    # parser instead of argparse.
+    for text in mutated_texts(7, 2000):
+        code, _, err = run(capsys, "echo", "--", text)
+        assert code in (0, 2), (text, err)
+        if code == 2:
+            assert err.startswith(("parse error:", "invalid code:")), (text, err)
 
 
 def test_echo_rejects_deep_tags(capsys):

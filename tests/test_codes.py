@@ -259,6 +259,8 @@ def test_code_constructors_reject_garbage():
         YSeq((CycW("1"), "bits"))
     with pytest.raises(TypeError):
         PairMerge(Cyclic((A,)))
+    with pytest.raises(TypeError):
+        WordAtom(5)
 
 
 def test_iota_is_tag_constructor():

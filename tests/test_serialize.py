@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carveq import (
     AtomSet,
@@ -22,8 +23,9 @@ from carveq import (
     to_text,
 )
 from carveq.generators import gen_serial_value
+from carveq.serialize import _TOKEN
 
-from helpers import R1, R2
+from helpers import R1, R2, reference_tokens
 
 # strings the printer would never emit, plus canonical ones
 VECTORS = [
@@ -122,11 +124,27 @@ def test_parse_errors_carry_positions():
         ("(zlist)", "zlist needs at least one row", 6),
         ("(zlist (cw 1))", "expected 'cyc', found 'cw'", 8),
         ("(p (cyc (rat 1 1)) (zlist (cyc (rat 1 1))))", "expected 'ylist', found 'zlist'", 20),
+        # U+3000 is whitespace; U+200B is not, so it joins the keyword.
+        ("(cw\u300010)\u3000junk", "trailing input after complete form", 8),
+        ("(cw\u200b 10)", "unknown form keyword 'cw\\u200b'", 1),
     ]:
         with pytest.raises(ParseError) as err:
             parse_any(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
+
+
+# ASCII whitespace (including the separators \x1c-\x1f), three Unicode
+# spaces, the non-whitespace U+200B, parentheses and token characters.
+TOKEN_TEXTS = st.text(alphabet="() \t\n\r\x0b\x0c\x1c\x1f\u00a0\u2003\u3000\u200b01ax-", max_size=40)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(TOKEN_TEXTS)
+def test_token_regex_matches_reference_tokenizer(text):
+    expected = reference_tokens(text)
+    assert [(m.group(), m.start()) for m in _TOKEN.finditer(text)] == expected
+    assert _TOKEN.findall(text) == [tok for tok, _ in expected]
 
 
 def test_parse_ppoint_validates():
