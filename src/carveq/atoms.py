@@ -7,7 +7,7 @@ injectively with a bit), and word atoms wrapping a canonical cyclic word.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 # Deepest Tag nesting that the constructor and the parser accept: parsing,
@@ -29,7 +29,25 @@ def primitive_root(seq):
     return seq
 
 
-@dataclass(frozen=True)
+def _kept(*names):
+    """A base class with the slots ``names``, in which a value keeps facts
+    derived from its fields: slots, not fields, so equality, hashing, the
+    printed form and ``dataclasses.fields`` ignore them.  A copy or a
+    pickle rebuilds the value through its constructor, which sets them."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    return type("_Kept", (), {"__slots__": names, "__reduce__": __reduce__})
+
+
+def _kept_hash(self):
+    """An atom's ``__hash__``: the hash its ``__post_init__`` keeps.  Each
+    atom's body binds it, or dataclass would generate one."""
+    return self._hash
+
+
+@dataclass(frozen=True, slots=True)
 class CyclicWord:
     """Nonempty bit word denoting the sequence b(k) = bits[k mod len(bits)].
 
@@ -55,10 +73,11 @@ class CyclicWord:
         return len(self.bits) == 1
 
 
-@dataclass(frozen=True)
-class Rational:
+@dataclass(frozen=True, slots=True)
+class Rational(_kept("_hash")):
     num: int
     den: int = 1
+    __hash__ = _kept_hash
 
     def __post_init__(self):
         if self.den == 0:
@@ -69,12 +88,14 @@ class Rational:
             num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_hash", hash((num, den)))
 
 
-@dataclass(frozen=True)
-class Tag:
+@dataclass(frozen=True, slots=True)
+class Tag(_kept("_hash")):
     bit: int
     inner: "Atom"
+    __hash__ = _kept_hash
 
     def __post_init__(self):
         if type(self.bit) is not int or self.bit not in (0, 1):
@@ -84,17 +105,20 @@ class Tag:
             depth, inner = depth + 1, inner.inner
         if depth > MAX_TAG_DEPTH:
             raise ValueError(f"tags nested deeper than {MAX_TAG_DEPTH}")
+        object.__setattr__(self, "_hash", hash((self.bit, self.inner)))
 
 
-@dataclass(frozen=True)
-class WordAtom:
+@dataclass(frozen=True, slots=True)
+class WordAtom(_kept("_hash")):
     word: CyclicWord
+    __hash__ = _kept_hash
 
     def __post_init__(self):
         if isinstance(self.word, str):
             object.__setattr__(self, "word", CyclicWord(self.word))
         elif not isinstance(self.word, CyclicWord):
             raise TypeError("WordAtom wraps a CyclicWord")
+        object.__setattr__(self, "_hash", hash((self.word,)))
 
 
 Atom = Union[Rational, Tag, WordAtom]
@@ -126,20 +150,18 @@ def atom_sort_key(a):
     raise TypeError(f"not an atom: {a!r}")
 
 
-@dataclass(frozen=True)
-class AtomSet:
+@dataclass(frozen=True, slots=True)
+class AtomSet(_kept("_hash", "_sort_key")):
     """Finite set of atoms in canonical storage.
 
     Elements are sorted by the atom order and duplicate-free, so set
     equality coincides with structural equality of the storage.  The hash
     and :meth:`sort_key` are derived from ``elements`` alone, so each is
-    computed on first use and kept on the instance.  The class attributes
-    below are the "not yet computed" defaults, not fields.
+    computed on first use and kept in a slot, None until then, which
+    every constructor path, :meth:`_trusted` too, sets.
     """
 
     elements: tuple
-    _hash = None
-    _sort_key = None
 
     def __post_init__(self):
         for a in self.elements:
@@ -147,6 +169,8 @@ class AtomSet:
                 raise TypeError(f"not an atom: {a!r}")
         canon = tuple(sorted(set(self.elements), key=atom_sort_key))
         object.__setattr__(self, "elements", canon)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_sort_key", None)
 
     def __hash__(self):
         h = self._hash
@@ -189,4 +213,6 @@ class AtomSet:
         """
         aset = object.__new__(cls)
         object.__setattr__(aset, "elements", elements)
+        object.__setattr__(aset, "_hash", None)
+        object.__setattr__(aset, "_sort_key", None)
         return aset

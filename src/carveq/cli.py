@@ -122,7 +122,12 @@ def _cmd_echo(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "echo" and args.text is None and len(extra) == 1:
+        args.text = extra.pop()  # argparse leaves a text that starts with "-" over
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "verify":
             return _cmd_verify(args)

@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .atoms import AtomSet, CyclicWord, Tag, is_atom
+from .atoms import AtomSet, CyclicWord, Tag, _kept, is_atom
 from .pairing import cantor_pair, cantor_unpair
 
 
-@dataclass(frozen=True)
-class Cyclic:
-    """Cyclic entry list denoting x(n) = entries[n mod len(entries)]."""
+@dataclass(frozen=True, slots=True)
+class Cyclic(_kept("_carves")):
+    """Cyclic entry list denoting x(n) = entries[n mod len(entries)].  The
+    slot ``_carves`` keeps relations._word_carve's table, None until used."""
 
     entries: tuple
 
@@ -30,9 +31,10 @@ class Cyclic:
             if not is_atom(a):
                 raise TypeError(f"Cyclic entries must be atoms, got {a!r}")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_carves", None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZCode:
     """Cyclic list of cyclic rows, denoting z(i) = entries[i mod len]."""
 
@@ -48,15 +50,18 @@ class ZCode:
         object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class PairMerge:
-    """Merge of a row code through the pairing: x(e(i, j)) = z(i)(j)."""
+@dataclass(frozen=True, slots=True)
+class PairMerge(_kept("_carves", "_range")):
+    """Merge of a row code through the pairing: x(e(i, j)) = z(i)(j).  Slots
+    as for Cyclic, and ``_range`` keeps :func:`range_atoms`, None until used."""
 
     z: ZCode
 
     def __post_init__(self):
         if not isinstance(self.z, ZCode):
             raise TypeError("PairMerge wraps a ZCode")
+        object.__setattr__(self, "_carves", None)
+        object.__setattr__(self, "_range", None)
 
 
 AtomSeqCode = Union[Cyclic, PairMerge]
@@ -119,7 +124,11 @@ def range_atoms(x):
     if isinstance(x, Cyclic):
         return frozenset(x.entries)
     if isinstance(x, PairMerge):
-        return frozenset().union(*(row.entries for row in x.z.entries))
+        rng = x._range
+        if rng is None:
+            rng = frozenset().union(*(row.entries for row in x.z.entries))
+            object.__setattr__(x, "_range", rng)
+        return rng
     raise TypeError(f"not an atom-sequence code: {x!r}")
 
 
@@ -129,7 +138,7 @@ def range_set(x):
     return AtomSet(tuple(range_atoms(x)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycW:
     """Binary-sequence code wrapping a canonical cyclic word."""
 
@@ -142,7 +151,7 @@ class CycW:
             raise TypeError("CycW wraps a CyclicWord")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pullback:
     """b(k) = 1 iff value_at(base, k) is in aset.
 
@@ -235,7 +244,7 @@ def binseq_eq(u, v):
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class YSeq:
     """Cyclic list of binary-sequence codes: y(n) = entries[n mod len]."""
 

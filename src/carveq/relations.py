@@ -112,12 +112,11 @@ def _word_carve(x, word):
     ``at`` with the other bit, or None when equal values always carry
     equal bits.
 
-    The result depends only on x and the word, so x keeps it: a plain
-    instance attribute ``_carves`` (not a field, so equality, hashing and
-    the printed form ignore it) maps the word's canonical bits to
-    (carve, witness).
+    The result depends only on x and the word, so x keeps it: the slot
+    ``_carves`` of x (not a field, so equality, hashing and the printed
+    form ignore it) maps the word's canonical bits to (carve, witness).
     """
-    memo = x.__dict__.get("_carves")
+    memo = x._carves
     if memo is None:
         memo = {}
         object.__setattr__(x, "_carves", memo)
@@ -167,54 +166,55 @@ def carve_pair(x, entry):
 
 
 def _validate_membership(x, y):
-    """Check clause (3), then (2), then (1), each over all entries, and
-    raise the first violation; return the carves of y's entries in entry
-    order."""
+    """Carve y's entries over x in one pass; return the carves in entry
+    order.  A structural mismatch raises at once, then clause (3), (2) and
+    (1) in that order, (3) and (2) with their first offending entry."""
     if not isinstance(x, (Cyclic, PairMerge)):
         raise TypeError(f"not an atom-sequence code: {x!r}")
     if not isinstance(y, YSeq):
         raise TypeError(f"not a YSeq: {y!r}")
 
+    # Clause (3): equal values of x force equal bits at those positions.
+    # Pullback entries satisfy it structurally (the bit is a function of the
+    # value) and constant words trivially; a non-constant word entry (over a
+    # cyclic x, by the structural check) is decided by the scan that carves
+    # it, whose kept result still raises.  Clause (2): no carve is empty.
+    carves = []
+    clash = empty = None
     for k, entry in enumerate(y.entries):
         if isinstance(entry, Pullback):
             if entry.base != x:
                 raise StructuralMismatch(f"entry {k} pulls back over a different base")
-        elif isinstance(x, PairMerge) and not entry.word.is_constant():
-            raise StructuralMismatch(f"entry {k}: non-constant word over a pair-merge base")
-
-    # Clause (3): equal values of x force equal bits at those positions.
-    # Pullback entries satisfy it structurally (the bit is a function of the
-    # value) and constant words trivially; a non-constant word entry (over a
-    # cyclic x, by the check above) is decided by the scan that carves it.
-    # A kept scan result still raises here, on every validation.
-    carves = []
-    for k, entry in enumerate(y.entries):
-        if isinstance(entry, CycW) and not entry.word.is_constant():
-            aset, clash = _word_carve(x, entry.word)
-            if clash is not None:
-                raise ClauseViolation(3, (k, *clash))
-        else:
             aset = carve_pair(x, entry)
+        elif entry.word.is_constant():
+            aset = carve_pair(x, entry)
+        elif isinstance(x, PairMerge):
+            raise StructuralMismatch(f"entry {k}: non-constant word over a pair-merge base")
+        else:
+            aset, at = _word_carve(x, entry.word)
+            if at is not None and clash is None:
+                clash = (k, *at)
+        if empty is None and not aset.elements:
+            empty = (k,)
         carves.append(aset)
+    if clash is not None:
+        raise ClauseViolation(3, clash)
+    if empty is not None:
+        raise ClauseViolation(2, empty)
 
-    # Clause (2): every carved set is nonempty.
-    for k, aset in enumerate(carves):
-        if len(aset) == 0:
-            raise ClauseViolation(2, (k,))
-
-    # Clause (1): every enumerated value is carved by some entry.  The
-    # witness is the least index of an uncovered value, which is a grid
-    # cell (see grid_cells).
+    # Clause (1): every enumerated value is carved by some entry.  Every
+    # carve is a subset of range(x), so their union covers it iff it is as
+    # large.  The witness is the least index of an uncovered value, which is
+    # a grid cell (see grid_cells).
     covered = set()
     for aset in carves:
         covered.update(aset.elements)
-    uncovered = [m for m, a in grid_cells(x) if a not in covered]
-    if uncovered:
-        raise ClauseViolation(1, (min(uncovered),))
+    if len(covered) < len(range_atoms(x)):
+        raise ClauseViolation(1, (min(m for m, a in grid_cells(x) if a not in covered),))
     return tuple(carves)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PPoint:
     """A pair (x, y) validated at construction against the three membership
     clauses, with y read entrywise as characteristic functions carving

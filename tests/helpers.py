@@ -6,9 +6,11 @@ library is evidence rather than tautology.
 """
 
 import itertools
+import math
 
 from carveq import (
     AtomSet,
+    ClauseViolation,
     CycW,
     Cyclic,
     FuzzConfig,
@@ -16,6 +18,7 @@ from carveq import (
     PairMerge,
     Pullback,
     Rational,
+    StructuralMismatch,
     YSeq,
     ZCode,
     binseq_value_at,
@@ -152,6 +155,51 @@ def naive_clause3_ok(x, y, span):
                     if binseq_value_at(entry, l1) != binseq_value_at(entry, l2):
                         return False
     return True
+
+
+def reference_membership(x, y):
+    """Membership oracle by brute force over the indices below one common
+    period: the lcm of x's period and every word's period for a cyclic x,
+    saturation_bound for a pair-merge x (there every entry's bit is a
+    function of the value, and every value occurs below the bound).
+
+    Returns the carves as frozensets in entry order, or the first
+    violation as (type, clause, witness): a structural mismatch, as
+    (StructuralMismatch, None, (k,)) for the first entry k outside the
+    closed algebra, wins over every clause; then clause (3) with
+    (k, first index of the value, index of the clash) for the first
+    entry k whose bits differ on one value; then clause (2) with (k,) for
+    the first entry k that carves nothing; then clause (1) with the least
+    index of a value that no entry carves.
+    """
+    for k, entry in enumerate(y.entries):
+        if isinstance(entry, Pullback) and entry.base != x:
+            return StructuralMismatch, None, (k,)
+        if isinstance(entry, CycW) and isinstance(x, PairMerge) and len(set(entry.word.bits)) > 1:
+            return StructuralMismatch, None, (k,)
+    if isinstance(x, Cyclic):
+        words = (len(e.word.bits) for e in y.entries)
+        span = math.lcm(len(x.entries), *words)
+    else:
+        span = saturation_bound(x)
+    values = [value_at(x, m) for m in range(span)]
+    first = {}
+    for m, v in enumerate(values):
+        first.setdefault(v, m)
+    carves = []
+    for k, entry in enumerate(y.entries):
+        bits = [binseq_value_at(entry, m) for m in range(span)]
+        for m, v in enumerate(values):
+            if bits[m] != bits[first[v]]:
+                return ClauseViolation, 3, (k, first[v], m)
+        carves.append(frozenset(v for v, bit in zip(values, bits) if bit))
+    for k, carved in enumerate(carves):
+        if not carved:
+            return ClauseViolation, 2, (k,)
+    for m, v in enumerate(values):
+        if not any(v in carved for carved in carves):
+            return ClauseViolation, 1, (m,)
+    return tuple(carves)
 
 
 def enumerate_points(universe, max_period):

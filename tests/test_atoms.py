@@ -1,20 +1,31 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from carveq import (
     AtomSet,
+    CycW,
+    Cyclic,
     CyclicWord,
+    PPoint,
+    PairMerge,
     Rational,
     Tag,
     WordAtom,
+    YSeq,
+    ZCode,
     atom_eq,
     atom_sort_key,
     primitive_root,
+    pullback,
 )
 from carveq.atoms import MAX_TAG_DEPTH
 from carveq.serialize import atom_to_text, parse_atom
+
+from helpers import R1, R2
 
 rationals = st.builds(Rational, st.integers(-50, 50), st.integers(1, 30))
 words = st.builds(WordAtom, st.text(alphabet="01", min_size=1, max_size=8))
@@ -121,9 +132,44 @@ def test_kept_hash_and_sort_key_match_for_trusted_sets(xs):
         assert s.sort_key() == (len(built), tuple(atom_sort_key(a) for a in built))
     assert built == trusted
     assert repr(built) == repr(trusted) == f"AtomSet(elements={built.elements!r})"
-    # The kept values live on each instance; the class keeps its defaults.
-    assert (AtomSet._hash, AtomSet._sort_key) == (None, None)
-    assert [f.name for f in dataclasses.fields(AtomSet)] == ["elements"]
+
+
+@given(atoms)
+def test_kept_atom_hash_is_the_field_tuple_hash(a):
+    # The generated dataclass hash would be the hash of the field tuple; set
+    # iteration orders, and with them the golden bytes, rest on keeping it.
+    if isinstance(a, Rational):
+        assert hash(a) == hash((a.num, a.den))
+    elif isinstance(a, Tag):
+        assert hash(a) == hash((a.bit, a.inner))
+    else:
+        assert hash(a) == hash((a.word,))
+
+
+def test_values_have_slots_and_unchanged_fields():
+    x = PairMerge(ZCode((Cyclic((R1,)), Cyclic((R1, R2)))))
+    pb = pullback(x, AtomSet.of(R2))
+    values_and_fields = (
+        (CyclicWord("10"), ["bits"]),
+        (R1, ["num", "den"]),
+        (Tag(0, R1), ["bit", "inner"]),
+        (WordAtom("10"), ["word"]),
+        (AtomSet.of(R1, R2), ["elements"]),
+        (AtomSet._trusted((R1,)), ["elements"]),
+        (Cyclic((R1, R2)), ["entries"]),
+        (x.z, ["entries"]),
+        (x, ["z"]),
+        (CycW("10"), ["word"]),
+        (pb, ["base", "aset"]),
+        (YSeq((pb, CycW("1"))), ["entries"]),
+        (PPoint(x, YSeq((pb, CycW("1")))), ["x", "y", "carves"]),
+    )
+    for value, names in values_and_fields:
+        assert not hasattr(value, "__dict__"), type(value)
+        assert [f.name for f in dataclasses.fields(value)] == names
+        # copies and pickles rebuild the kept slots
+        for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert (again, hash(again), repr(again)) == (value, hash(value), repr(value))
 
 
 def test_atom_set_operations():

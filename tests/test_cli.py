@@ -228,13 +228,26 @@ def test_echo_overlong_integer_is_a_parse_error(capsys):
 
 
 def test_echo_exits_0_or_2_on_mutated_texts(capsys):
-    # "--" ends option parsing, so a text that starts with "-" reaches the
-    # parser instead of argparse.
-    for text in mutated_texts(7, 2000):
-        code, _, err = run(capsys, "echo", "--", text)
+    texts = mutated_texts(7, 2000)
+    assert any(text.startswith("-") for text in texts)
+    for text in texts:
+        code, _, err = run(capsys, "echo", text)
         assert code in (0, 2), (text, err)
         if code == 2:
             assert err.startswith(("parse error:", "invalid code:")), (text, err)
+
+
+def test_echo_of_a_dash_leading_text_is_a_parse_error(capsys):
+    for argv in (("echo", "-("), ("echo", "--", "-(")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "parse error: expected '(', found '-' (at position 0)\n"
+    # only echo takes a leftover as its text
+    for argv in (("verify", "claim", "-("), ("count", "--n", "1", "-("), ("chain", "-(")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -(" in capsys.readouterr().err
 
 
 def test_echo_rejects_deep_tags(capsys):

@@ -34,6 +34,7 @@ from carveq import (
     stream,
 )
 from carveq.generators import (
+    gen_binseq,
     gen_cyclic,
     gen_cyclic_pair,
     gen_infiber_pair,
@@ -56,6 +57,7 @@ from helpers import (
     naive_carve,
     naive_clause3_ok,
     partition_classes,
+    reference_membership,
 )
 
 CFG = FuzzConfig(cases=0, atom_universe=4, max_period=5, max_entries=4)
@@ -237,6 +239,62 @@ def test_p_membership_clause3_before_clause2():
         PPoint(Cyclic((R1, R1, R1)), YSeq((CycW("0"), CycW("100"))))
     assert err.value.clause == 3
     assert err.value.witness == (1, 0, 1)  # the first clash; (1, 0, 2) is the next
+
+
+def test_structural_mismatch_before_every_clause():
+    # entry 0 breaks clause (3), entry 1 pulls back over another base
+    other = PairMerge(ZCode((Cyclic((R1, R2)), Cyclic((R3,)))))
+    with pytest.raises(StructuralMismatch):
+        PPoint(Cyclic((R1, R1)), YSeq((CycW("10"), pullback(other, AtomSet.of(R3)))))
+
+
+def test_p_membership_clause2_before_clause1():
+    # entry 0 carves nothing, entry 1 leaves R2 uncovered
+    with pytest.raises(ClauseViolation) as err:
+        PPoint(Cyclic((R1, R2)), YSeq((CycW("0"), CycW("10"))))
+    assert (err.value.clause, err.value.witness) == (2, (0,))
+
+
+def _mutated_membership_pair(rng):
+    """A valid point's (x, y), hit on three draws in four by 1-2 mutations:
+    drop an entry, or insert the word 0, a non-constant word or a pullback
+    over a fresh pair-merge base at a random position."""
+    p = gen_ppoint(rng, CFG)[0]
+    entries = list(p.y.entries)
+    for _ in range(rng.randint(1, 2) if rng.randrange(4) else 0):
+        kind = rng.randrange(4)
+        if kind == 0:
+            if len(entries) > 1:
+                del entries[rng.randrange(len(entries))]
+            continue
+        if kind == 1:
+            new = CycW("0")
+        elif kind == 2:
+            bits = "".join("1" if rng.coin() else "0" for _ in range(rng.randint(1, 4)))
+            if len(set(bits)) == 1:
+                bits += "1" if bits[0] == "0" else "0"
+            new = CycW(bits)
+        else:
+            new = gen_binseq(rng, CFG)
+            while not isinstance(new, Pullback):
+                new = gen_binseq(rng, CFG)
+        entries.insert(rng.randint(0, len(entries)), new)
+    return p.x, YSeq(tuple(entries))
+
+
+def test_validation_matches_the_brute_force_oracle():
+    seen = set()
+    for i in range(2000):
+        x, y = _mutated_membership_pair(stream(61, i))
+        try:
+            got = tuple(frozenset(aset) for aset in PPoint(x, y).carves)
+        except ClauseViolation as err:
+            got = (ClauseViolation, err.clause, err.witness)
+        except StructuralMismatch as err:
+            got = (StructuralMismatch, None, (int(str(err).split()[1].rstrip(":")),))
+        assert got == reference_membership(x, y), (x, y)
+        seen.add("valid" if isinstance(got[0], frozenset) else got[1])
+    assert seen == {"valid", None, 1, 2, 3}
 
 
 def test_validation_carves_match_carve_pair():
