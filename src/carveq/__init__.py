@@ -16,6 +16,7 @@ from .atoms import (
     WordAtom,
     atom_eq,
     atom_sort_key,
+    canonical_family,
     primitive_root,
 )
 from .codes import (
@@ -48,7 +49,6 @@ from .errors import (
 )
 from .generators import FuzzConfig, SplitMix64, stream
 from .invariants import (
-    SetOfAtomSets,
     atom_universe,
     binseq_class_rep,
     closed_form,
@@ -72,7 +72,6 @@ from .reductions import (
     embed_fs2,
     fiber_reduction,
     g_to_f,
-    identity_reduction,
     pair_interleave,
 )
 from .relations import (

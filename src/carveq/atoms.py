@@ -216,3 +216,11 @@ class AtomSet(_kept("_hash", "_sort_key")):
         object.__setattr__(aset, "_hash", None)
         object.__setattr__(aset, "_sort_key", None)
         return aset
+
+
+def canonical_family(asets):
+    """A family of atom sets in canonical storage: the tuple of its distinct
+    sets in :meth:`AtomSet.sort_key` order, so families are equal iff their
+    tuples are.  A tuple, not a frozenset: class counting keeps tens of
+    thousands of families, and a tuple of a few sets is far smaller."""
+    return tuple(sorted(set(asets), key=AtomSet.sort_key))

@@ -8,8 +8,9 @@ Subcommands:
     echo [TEXT]       parse a serialized code (argument or stdin) and print
                       its canonical form
 
-Global flags on every subcommand: --seed --cases --atom-universe --max-period
---max-entries --format {text,machine}.  Exit codes: 0 pass,
+Flags of verify, count and chain: --seed --cases --atom-universe
+--max-period --max-entries --format {text,machine}.  echo takes only
+--help; any other argument is its text.  Exit codes: 0 pass,
 1 violation, 2 usage or configuration error.
 """
 
@@ -55,9 +56,10 @@ def build_parser():
                      help="deliberately corrupt a link map (test hook)")
     _add_common(pch)
 
-    pe = sub.add_parser("echo", help="canonicalize a serialized code")
+    pe = sub.add_parser("echo", help="canonicalize a serialized code",
+                        add_help=False, allow_abbrev=False)
+    pe.add_argument("--help", action="help", help="show this help message and exit")
     pe.add_argument("text", nargs="?", default=None)
-    _add_common(pe)
 
     return parser
 

@@ -3,36 +3,11 @@ brute-force class counting over finite atom universes."""
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .atoms import AtomSet, CyclicWord, Rational, primitive_root
+from .atoms import AtomSet, CyclicWord, Rational, canonical_family, primitive_root
 from .codes import CycW, Cyclic, Pullback, YSeq, binseq_eq, binseq_value_at, pullback, range_set
 from .errors import ResourceLimit
-from .relations import PPoint
-
-
-@dataclass(frozen=True)
-class SetOfAtomSets:
-    """Canonical finite family of atom sets: sorted, duplicate-free storage,
-    so family equality is structural equality."""
-
-    elements: tuple
-
-    def __post_init__(self):
-        for s in self.elements:
-            if not isinstance(s, AtomSet):
-                raise TypeError(f"not an AtomSet: {s!r}")
-        canon = tuple(sorted(set(self.elements), key=AtomSet.sort_key))
-        object.__setattr__(self, "elements", canon)
-
-    def __contains__(self, s):
-        return s in self.elements
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+from .relations import PPoint, carve_family
 
 
 def f_invariant(x):
@@ -41,14 +16,13 @@ def f_invariant(x):
 
 
 def e_invariant(p):
-    """Complete invariant for carve-family equality, in canonical storage:
-    the point's carves, as computed by its validation."""
-    return SetOfAtomSets(p.carves)
+    """Complete invariant for carve-family equality: :func:`carve_family`."""
+    return carve_family(p)
 
 
 def fs2_invariant(z):
     """The family of row ranges of a row code, canonical."""
-    return SetOfAtomSets(tuple(range_set(row) for row in z.entries))
+    return canonical_family(range_set(row) for row in z.entries)
 
 
 def binseq_class_rep(entry):

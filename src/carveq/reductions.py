@@ -39,10 +39,6 @@ class ReductionRecord:
     map: Callable
 
 
-def identity_reduction(e):
-    return ReductionRecord(name=f"id[{e.name}]", source=e, target=e, map=lambda v: v)
-
-
 def compose(r1, r2):
     """Composition r2 . r1; endpoints must line up by name."""
     if r1.target.name != r2.source.name:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .atoms import AtomSet, atom_eq
+from .atoms import AtomSet, atom_eq, canonical_family
 from .codes import (
     CycW,
     Cyclic,
@@ -242,8 +242,9 @@ def carve(p, n):
 
 
 def carve_family(p):
-    """All carved subsets of a point, as a hashable set of sets."""
-    return frozenset(p.carves)
+    """All carved subsets of a point, in canonical storage
+    (:func:`canonical_family`)."""
+    return canonical_family(p.carves)
 
 
 def rel_E(p, q):

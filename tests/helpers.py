@@ -281,3 +281,24 @@ def mutated_texts(seed, n):
                 text = text[:at]
         texts.append(text)
     return texts
+
+
+# Characters inserted at the head of a text to make it look like a
+# command-line option: the dash and the first letters of the CLI's flags.
+OPTION_ALPHABET = "--hscamf"
+
+
+def option_like_texts(seed, n):
+    """The ``n`` texts of ``mutated_texts(seed, n)``, each with 1-3
+    characters of OPTION_ALPHABET inserted at position 0 or 1 and then a
+    leading "-", so that argparse could take any of them for an option
+    ("-h(", "--s(cw 1)", ...).  Substream ``(seed, n + i)`` draws the
+    insertions of text i."""
+    texts = []
+    for i, text in enumerate(mutated_texts(seed, n)):
+        rng = stream(seed, n + i)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(2)
+            text = text[:at] + rng.choice(OPTION_ALPHABET) + text[at:]
+        texts.append("-" + text)
+    return texts

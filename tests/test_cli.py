@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from carveq import FuzzConfig, StructuralMismatch, campaigns, parse_any, reductions, stream
+from carveq import FuzzConfig, StructuralMismatch, campaigns, fs2_invariant, parse_any, reductions, stream
 from carveq.cli import main
 
-from helpers import mutated_texts
+from helpers import mutated_texts, option_like_texts
 
 
 def run(capsys, *argv):
@@ -65,6 +65,17 @@ def test_verify_iff_target_fails_on_constant_map(capsys, monkeypatch, target, na
         a, b = sampler(stream(0, v["index"]), FuzzConfig())
         assert v["detail"] == f"pair {reductions._describe(a)} | {reductions._describe(b)}"
         assert (v["source_verdict"], v["target_verdict"]) == (False, True)
+
+
+def test_verify_embed_reports_a_family_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(campaigns, "fs2_invariant", lambda z: fs2_invariant(z)[1:])
+    code, out, _ = run(capsys, "verify", "embed", "--cases", "40", "--format", "machine")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail" and payload["violations"]
+    for v in payload["violations"]:
+        assert v["detail"].startswith("embedded carve family differs from row-range family: ")
+        assert (v["source_verdict"], v["target_verdict"]) == ("fs2", "e")
 
 
 def test_product_points_are_described_by_coordinate_texts(capsys, monkeypatch):
@@ -237,17 +248,43 @@ def test_echo_exits_0_or_2_on_mutated_texts(capsys):
             assert err.startswith(("parse error:", "invalid code:")), (text, err)
 
 
+def test_echo_exits_0_or_2_on_option_like_texts(capsys, monkeypatch):
+    import io
+
+    # "--" alone ends the options, so echo reads its text from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    texts = option_like_texts(7, 1000)
+    assert any(text[1].isalpha() for text in texts) and any(text[1] == "-" for text in texts)
+    for text in texts:
+        code, out, err = run(capsys, "echo", text)
+        assert (code, out) == (2, ""), (text, out, err)
+        assert err.startswith("parse error:"), (text, err)
+
+
 def test_echo_of_a_dash_leading_text_is_a_parse_error(capsys):
     for argv in (("echo", "-("), ("echo", "--", "-(")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "parse error: expected '(', found '-' (at position 0)\n"
+    # echo has no flags but --help, so a text that looks like a flag or
+    # its abbreviation is still a text
+    for text in ("-h(", "--s", "--form", "-h", "--he"):
+        code, out, err = run(capsys, "echo", text)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: expected '(', found '{text.rstrip('(')}' (at position 0)\n"
     # only echo takes a leftover as its text
     for argv in (("verify", "claim", "-("), ("count", "--n", "1", "-("), ("chain", "-(")):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments: -(" in capsys.readouterr().err
+
+
+def test_echo_help_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["echo", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: carveq echo [--help] [text]")
 
 
 def test_echo_rejects_deep_tags(capsys):

@@ -12,11 +12,11 @@ from carveq import (
     PairMerge,
     Pullback,
     ResourceLimit,
-    SetOfAtomSets,
     YSeq,
     ZCode,
     binseq_class_rep,
     binseq_eq,
+    canonical_family,
     closed_form,
     count_classes,
     e_invariant,
@@ -59,12 +59,12 @@ from helpers import (
 CFG = FuzzConfig(cases=0, atom_universe=4, max_period=5, max_entries=4)
 
 
-def test_set_of_atom_sets_canonical():
-    fam1 = SetOfAtomSets((AtomSet.of(R1, R2), AtomSet.of(R1), AtomSet.of(R1)))
-    fam2 = SetOfAtomSets((AtomSet.of(R1), AtomSet.of(R2, R1)))
-    assert fam1 == fam2
-    assert len(fam1) == 2
-    assert [len(s) for s in fam1] == [1, 2]  # sorted by size first
+def test_canonical_family():
+    fam1 = canonical_family((AtomSet.of(R1, R2), AtomSet.of(R3), AtomSet.of(R3), AtomSet.of(R1)))
+    fam2 = canonical_family([AtomSet.of(R1), AtomSet.of(R2, R1), AtomSet.of(R3)])
+    # duplicates and input order collapse; size first, then atom order
+    assert fam1 == fam2 == (AtomSet.of(R1), AtomSet.of(R3), AtomSet.of(R1, R2))
+    assert canonical_family(()) == ()
 
 
 def test_f_invariant_examples():
@@ -84,11 +84,11 @@ def test_e_invariant_display_value():
     blue, red, green, yellow = R1, R2, R3, R4
     x = Cyclic((blue, red, green, yellow))
     p = PPoint(x, YSeq((CycW("0011"), CycW("1110"), CycW("0101"))))
-    assert e_invariant(p) == SetOfAtomSets((
+    assert e_invariant(p) == (
+        AtomSet.of(red, yellow),
         AtomSet.of(green, yellow),
         AtomSet.of(blue, red, green),
-        AtomSet.of(red, yellow),
-    ))
+    )
     duplicated = PPoint(x, YSeq(p.y.entries + p.y.entries))
     assert e_invariant(duplicated) == e_invariant(p)
 
@@ -103,9 +103,9 @@ def test_e_invariant_agrees_with_rel_e():
 
 def test_fs2_invariant_examples():
     z = ZCode((Cyclic((R1,)), Cyclic((R1, R2))))
-    assert fs2_invariant(z) == SetOfAtomSets((AtomSet.of(R1), AtomSet.of(R1, R2)))
+    assert fs2_invariant(z) == (AtomSet.of(R1), AtomSet.of(R1, R2))
     z3 = ZCode((Cyclic((R1,)),) * 3)
-    assert fs2_invariant(z3) == SetOfAtomSets((AtomSet.of(R1),))
+    assert fs2_invariant(z3) == (AtomSet.of(R1),)
 
 
 def test_fs2_invariant_agrees_with_double_jump():

@@ -30,7 +30,6 @@ from carveq import (
     fiber_reduction,
     fs2_invariant,
     g_to_f,
-    identity_reduction,
     jump,
     pair_interleave,
     pullback,
@@ -223,8 +222,11 @@ def test_const_jump_embedding():
 
 
 def test_compose():
+    def identity(e):
+        return ReductionRecord(name=f"id[{e.name}]", source=e, target=e, map=lambda v: v)
+
     record = embed_fs2_record()
-    composed = compose(record, identity_reduction(record.target))
+    composed = compose(record, identity(record.target))
     rng = stream(223, 0)
     pairs = [gen_zcode_pair(rng, CFG) for _ in range(50)]
     for z, z2 in pairs:
@@ -233,7 +235,7 @@ def test_compose():
     report = check_reduction(composed, pairs)
     assert report.status == "pass" and report.checked == 50
     with pytest.raises(TypeMismatch):
-        compose(record, identity_reduction(F_REL))
+        compose(record, identity(F_REL))
 
 
 def test_check_reduction_pass_and_empty():

@@ -22,6 +22,7 @@ from carveq import (
     carve,
     carve_family,
     carve_pair,
+    e_invariant,
     g_handle,
     jump,
     product,
@@ -308,7 +309,9 @@ def test_validation_carves_match_carve_pair():
     assert any(isinstance(e, Pullback) for p in points for e in p.y.entries)
     for p in points:
         assert p.carves == tuple(carve_pair(p.x, e) for e in p.y.entries)
-        assert carve_family(p) == frozenset(p.carves)
+        family = carve_family(p)
+        assert type(family) is tuple and len(family) == len(set(p.carves))
+        assert set(family) == set(p.carves) and e_invariant(p) == family
 
 
 def test_kept_carves_match_naive_scan():
