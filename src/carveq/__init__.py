@@ -28,6 +28,7 @@ from .codes import (
     Pullback,
     YSeq,
     ZCode,
+    binseq_class_rep,
     binseq_eq,
     binseq_value_at,
     grid_cells,
@@ -45,12 +46,10 @@ from .errors import (
     ParseError,
     ResourceLimit,
     StructuralMismatch,
-    TypeMismatch,
 )
 from .generators import FuzzConfig, SplitMix64, stream
 from .invariants import (
     atom_universe,
-    binseq_class_rep,
     closed_form,
     count_classes,
     e_invariant,
@@ -67,7 +66,6 @@ from .reductions import (
     canonical_basepoint,
     chain_report,
     check_reduction,
-    compose,
     const_jump_embedding,
     embed_fs2,
     fiber_reduction,

@@ -3,8 +3,9 @@
 Every code denotes a total infinite sequence, and every quantifier over all
 of N is discharged over a provably sufficient finite bound.  The algebra is
 closed: atom-sequence codes are cyclic entry lists or pair-merges of a row
-code, binary-sequence codes are cyclic words or pullbacks, constructors
-normalize eagerly, and equality of binary-sequence codes is decided exactly.
+code, binary-sequence codes are cyclic words or pullbacks, and constructors
+normalize eagerly.  Equality of binary-sequence codes is decided exactly, by
+comparing canonical class representatives (:func:`binseq_class_rep`).
 Opaque generator functions are rejected at the boundary.
 """
 
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .atoms import AtomSet, CyclicWord, Tag, _kept, is_atom
+from .atoms import AtomSet, CyclicWord, Tag, _kept, is_atom, primitive_root
 from .pairing import cantor_pair, cantor_unpair
 
 
@@ -152,12 +153,13 @@ class CycW:
 
 
 @dataclass(frozen=True, slots=True)
-class Pullback:
+class Pullback(_kept("_rep")):
     """b(k) = 1 iff value_at(base, k) is in aset.
 
     Only the non-degenerate case survives construction: a pair-merge base
     with a proper nonempty subset of its range.  Use :func:`pullback` to
-    build normalized binary-sequence codes.
+    build normalized binary-sequence codes.  The slot ``_rep`` keeps
+    :func:`binseq_class_rep`, unset until first used.
     """
 
     base: AtomSeqCode
@@ -206,42 +208,77 @@ def binseq_value_at(b, k):
     raise TypeError(f"not a binary-sequence code: {b!r}")
 
 
-def _table_shape(b):
-    """(rows, periods) of the table i, j -> b(e(i, j)): row i equals row
-    i mod rows and repeats in j with period periods[i % len(periods)].
-    A pullback over s rows has s rows, row i of period p_{i mod s}.  A word
-    of length L has 2L rows of period 2L: b(e(i, j)) is the word at
-    T(i + j) + j mod L, T(t) = t(t + 1)/2, and T(t + 2L) - T(t) =
-    L(2t + 2L + 1)."""
+def binseq_class_rep(b):
+    """Canonical representative of the sequence a binary code denotes, as
+    one string: equal sequences, and only they, get equal strings.
+
+    A word's representative is its canonical bits.  A pullback over s rows
+    that denotes a word gets that word's bits; any other pullback gets "|"
+    followed by its row words joined with "|".  Its row words are each
+    row's bit pattern cut to its primitive root, and the list of them cut
+    to its own: the bit at e(i, j) is row i mod s's pattern at j, so two
+    such pullbacks denote the same sequence iff these match.  No word's
+    bits contain "|", so no pullback that is not a word shares a word's
+    representative.  A pullback keeps its representative in its ``_rep``
+    slot, filled here on first use.
+
+    Lemma: a pullback over s rows equal to a word w of primitive length L
+    has L | s.  Its table rows i and i + s are equal, so on an antidiagonal
+    i + j = m >= L - 1 the word read at T(m) + j, T(t) = t(t + 1)/2,
+    equals the word read at T(m + s) + j for L consecutive j.  No
+    nontrivial rotation fixes w, so L | d(m) = T(m + s) - T(m) for all such
+    m, hence L | d(m + 1) - d(m) = s.  So a pullback denotes a word iff it
+    equals the word of its first s bits.
+    """
     if isinstance(b, CycW):
-        n = 2 * len(b.word)
-        return n, (n,)
+        return b.word.bits
     if isinstance(b, Pullback):
-        rows = b.base.z.entries
-        return len(rows), tuple(len(row.entries) for row in rows)
+        try:
+            return b._rep
+        except AttributeError:
+            pass
+        patterns = tuple(
+            "".join("1" if a in b.aset else "0" for a in row.entries) for row in b.base.z.entries
+        )
+        head = primitive_root("".join(str(binseq_value_at(b, k)) for k in range(len(patterns))))
+        if _denotes_word(patterns, head):
+            rep = head
+        else:
+            rep = "|" + "|".join(primitive_root(tuple(primitive_root(p) for p in patterns)))
+        object.__setattr__(b, "_rep", rep)
+        return rep
     raise TypeError(f"not a binary-sequence code: {b!r}")
 
 
-def binseq_eq(u, v):
-    """Pointwise equality of denoted binary sequences; exact and total.
+def _denotes_word(patterns, w):
+    """Whether the pullback whose row i of the table i, j -> b(e(i, j)) is
+    ``patterns[i mod s]`` read cyclically denotes the primitive word ``w``
+    of length L.
 
-    word/word: canonical forms identical.  Any other pair: agreement on
-    k = e(i, j) for i < lcm(rows_u, rows_v) and j < lcm(period_u(i),
-    period_v(i)), shapes from :func:`_table_shape`.  This suffices: both
-    tables repeat in i with period lcm(rows_u, rows_v), row i of both in j
-    with period lcm(period_u(i), period_v(i)), so every cell has the values
-    of a grid cell, and the pairing is a bijection.
+    The word's cell (i, j) is w at T(i + j) + j mod L, and T(t + 2L) - T(t)
+    = L(2t + 2L + 1), so its table repeats in i and in j with period 2L.
+    Both tables then repeat in i with period lcm(2L, s), and row i of both
+    in j with period lcm(2L, p_i), p_i = len(patterns[i mod s]): agreement
+    on that grid is agreement everywhere.  The caller passes the word of
+    the first s bits, so L | s, and the grid has at most 2s rows of at most
+    2L p_i cells, 4LN <= 4sN cells in all for a code of N row entries: the
+    bound is the code's own size, and the scan stops at the first mismatch.
     """
-    if isinstance(u, CycW) and isinstance(v, CycW):
-        return u.word == v.word
-    ru, pu = _table_shape(u)
-    rv, pv = _table_shape(v)
-    for i in range(math.lcm(ru, rv)):
-        for j in range(math.lcm(pu[i % len(pu)], pv[i % len(pv)])):
-            k = cantor_pair(i, j)
-            if binseq_value_at(u, k) != binseq_value_at(v, k):
+    s, length = len(patterns), len(w)
+    for i in range(math.lcm(2 * length, s)):
+        row = patterns[i % s]
+        p = len(row)
+        for j in range(math.lcm(2 * length, p)):
+            t = i + j
+            if row[j % p] != w[(t * (t + 1) // 2 + j) % length]:
                 return False
     return True
+
+
+def binseq_eq(u, v):
+    """Pointwise equality of denoted binary sequences; exact and total: the
+    two codes' :func:`binseq_class_rep` strings are equal."""
+    return binseq_class_rep(u) == binseq_class_rep(v)
 
 
 @dataclass(frozen=True, slots=True)

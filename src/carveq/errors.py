@@ -22,10 +22,6 @@ class DomainViolation(CarveqError):
     """A value was passed to a relation handle outside its declared domain."""
 
 
-class TypeMismatch(CarveqError):
-    """Reduction records whose endpoint relations do not line up."""
-
-
 class ResourceLimit(CarveqError):
     """Enumeration exceeded the configured cap."""
 

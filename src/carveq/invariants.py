@@ -4,8 +4,8 @@ brute-force class counting over finite atom universes."""
 import itertools
 import math
 
-from .atoms import AtomSet, CyclicWord, Rational, canonical_family, primitive_root
-from .codes import CycW, Cyclic, Pullback, YSeq, binseq_eq, binseq_value_at, pullback, range_set
+from .atoms import AtomSet, Rational, canonical_family
+from .codes import Cyclic, YSeq, binseq_class_rep, pullback, range_set
 from .errors import ResourceLimit
 from .relations import PPoint, carve_family
 
@@ -25,43 +25,9 @@ def fs2_invariant(z):
     return canonical_family(range_set(row) for row in z.entries)
 
 
-def binseq_class_rep(entry):
-    """Canonical representative of the sequence a binary code denotes.
-
-    Words: ("word", primitive bits).  A pullback over s rows that denotes
-    a word gets that word's representative; any other pullback gets
-    ("pull", row carve words), each row's bit pattern reduced to its
-    primitive root and the row-word list itself reduced as a cyclic word
-    over the word alphabet; two such pullbacks denote the same sequence
-    iff these match, since the bit at e(i, j) is row i's pattern at j and
-    rows repeat cyclically.
-
-    Lemma: a pullback over s rows equal to a word w of primitive length L
-    has L | s.  Its table rows i and i + s are equal, so on an antidiagonal
-    i + j = m >= L - 1 the word read at T(m) + j, T(t) = t(t + 1)/2,
-    equals the word read at T(m + s) + j for L consecutive j.  No
-    nontrivial rotation fixes w, so L | d(m) = T(m + s) - T(m) for all such
-    m, hence L | d(m + 1) - d(m) = s.  So a pullback denotes a word iff it
-    equals the word of its first s bits.
-    """
-    if isinstance(entry, CycW):
-        return ("word", entry.word.bits)
-    if isinstance(entry, Pullback):
-        rows = entry.base.z.entries
-        head = CycW("".join(str(binseq_value_at(entry, k)) for k in range(len(rows))))
-        if binseq_eq(head, entry):
-            return ("word", head.word.bits)
-        words = tuple(
-            CyclicWord("".join("1" if a in entry.aset else "0" for a in row.entries)).bits
-            for row in rows
-        )
-        return ("pull", primitive_root(words))
-    raise TypeError(f"not a binary-sequence code: {entry!r}")
-
-
 def g_invariant(y):
-    """Set of canonical entry representatives; complete for entry-class
-    equality."""
+    """Set of the entries' :func:`~carveq.codes.binseq_class_rep`
+    representatives; complete for entry-class equality."""
     return frozenset(binseq_class_rep(e) for e in y.entries)
 
 

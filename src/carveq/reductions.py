@@ -23,7 +23,7 @@ from .codes import (
     range_atoms,
     range_set,
 )
-from .errors import CarveqError, DomainViolation, StructuralMismatch, TypeMismatch
+from .errors import CarveqError, DomainViolation, StructuralMismatch
 from .generators import gen_atom_pair, gen_cyclic_pair, gen_yseq_pair, gen_zcode_pair, stream
 from .relations import ATOM_EQ, E_REL, F_REL, EqRelHandle, PPoint, g_handle, jump, product
 
@@ -37,18 +37,6 @@ class ReductionRecord:
     source: EqRelHandle
     target: EqRelHandle
     map: Callable
-
-
-def compose(r1, r2):
-    """Composition r2 . r1; endpoints must line up by name."""
-    if r1.target.name != r2.source.name:
-        raise TypeMismatch(f"cannot compose: {r1.name} targets {r1.target.name}, {r2.name} expects {r2.source.name}")
-    return ReductionRecord(
-        name=f"{r1.name}>>{r2.name}",
-        source=r1.source,
-        target=r2.target,
-        map=lambda v: r2.map(r1.map(v)),
-    )
 
 
 def canonical_basepoint(aset):

@@ -22,6 +22,7 @@ from carveq import (
     YSeq,
     ZCode,
     binseq_value_at,
+    cantor_pair,
     pullback,
     range_set,
     saturation_bound,
@@ -56,6 +57,61 @@ def binseq_sample(seed, cfg):
 def agree_below(u, v, bound):
     """Pointwise agreement of two binary-sequence codes below ``bound``."""
     return all(binseq_value_at(u, k) == binseq_value_at(v, k) for k in range(bound))
+
+
+def _table_shape(b):
+    """(rows, periods) of the table i, j -> b(e(i, j)): row i equals row
+    i mod rows and repeats in j with period periods[i % len(periods)].
+    A pullback over s rows has s rows, row i of period p_{i mod s}.  A word
+    of length L has 2L rows of period 2L: b(e(i, j)) is the word at
+    T(i + j) + j mod L, T(t) = t(t + 1)/2, and T(t + 2L) - T(t) =
+    L(2t + 2L + 1)."""
+    if isinstance(b, CycW):
+        n = 2 * len(b.word)
+        return n, (n,)
+    rows = b.base.z.entries
+    return len(rows), tuple(len(row.entries) for row in rows)
+
+
+def reference_binseq_eq(u, v):
+    """Equality oracle by the row-table grid: agreement on k = e(i, j) for
+    i < lcm(rows_u, rows_v) and j < lcm(period_u(i), period_v(i)), shapes
+    from :func:`_table_shape`.  Both tables repeat in i with period
+    lcm(rows_u, rows_v), row i of both in j with period lcm(period_u(i),
+    period_v(i)), so every cell has the values of a grid cell, and the
+    pairing is a bijection.  Its cost is the product of the two codes'
+    sizes, so it is for small codes only."""
+    ru, pu = _table_shape(u)
+    rv, pv = _table_shape(v)
+    for i in range(math.lcm(ru, rv)):
+        for j in range(math.lcm(pu[i % len(pu)], pv[i % len(pv)])):
+            k = cantor_pair(i, j)
+            if binseq_value_at(u, k) != binseq_value_at(v, k):
+                return False
+    return True
+
+
+def represent(b, row_times, entry_times):
+    """The pullback ``b`` re-presented: its row list repeated ``row_times``
+    times and each row's entries ``entry_times`` times.  Both repetitions
+    keep the denoted sequence."""
+    rows = tuple(Cyclic(row.entries * entry_times) for row in b.base.z.entries)
+    return pullback(PairMerge(ZCode(rows * row_times)), b.aset)
+
+
+def word_as_pullback(bits, rows=None, period=None):
+    """The pullback of R1 over the first ``rows`` rows of the word's table
+    i, j -> bits at e(i, j), each cut to its first ``period`` cells, R1
+    for a 1 and R2 for a 0.  Both default to 2L, the word's table periods
+    (see :func:`_table_shape`), and then the pullback denotes the word."""
+    rows = rows or 2 * len(bits)
+    period = period or 2 * len(bits)
+    atoms = {"1": R1, "0": R2}
+    table = tuple(
+        Cyclic(tuple(atoms[bits[((i + j) * (i + j + 1) // 2 + j) % len(bits)]] for j in range(period)))
+        for i in range(rows)
+    )
+    return pullback(PairMerge(ZCode(table)), AtomSet.of(R1))
 
 
 def _root(seq):

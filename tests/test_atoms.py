@@ -19,6 +19,8 @@ from carveq import (
     ZCode,
     atom_eq,
     atom_sort_key,
+    binseq_class_rep,
+    binseq_eq,
     primitive_root,
     pullback,
 )
@@ -149,6 +151,8 @@ def test_kept_atom_hash_is_the_field_tuple_hash(a):
 def test_values_have_slots_and_unchanged_fields():
     x = PairMerge(ZCode((Cyclic((R1,)), Cyclic((R1, R2)))))
     pb = pullback(x, AtomSet.of(R2))
+    # fill the pullback's kept representative before the layout is checked
+    assert binseq_eq(pb, pb) and pb._rep == binseq_class_rep(pb)
     values_and_fields = (
         (CyclicWord("10"), ["bits"]),
         (R1, ["num", "den"]),

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +15,11 @@ from carveq import (
     WordAtom,
     YSeq,
     ZCode,
+    binseq_class_rep,
     binseq_eq,
     binseq_value_at,
     cantor_pair,
+    g_invariant,
     grid_cells,
     iota,
     pullback,
@@ -35,9 +39,12 @@ from helpers import (
     WORD_001,
     agree_below,
     binseq_sample,
+    reference_binseq_eq,
     reference_pullback,
+    represent,
     scan_first_indices,
     sequence_class,
+    word_as_pullback,
 )
 
 A, B = R1, R2
@@ -153,6 +160,68 @@ def test_binseq_eq_mixed_exact():
     assert agree_below(WORD_001, PULL_001, 5000)
     for u, v in ((word, pb), (WORD_001, PULL_001)):
         assert binseq_eq(u, v) == (sequence_class(u) == sequence_class(v))
+    # a one-row pullback is never its row's word: e(i, j) reads j only
+    one_row = pullback(PairMerge(ZCode((Cyclic((A, B)),))), AtomSet.of(A))
+    assert isinstance(one_row, Pullback)
+    assert not binseq_eq(one_row, CycW("10")) and not reference_binseq_eq(one_row, CycW("10"))
+
+
+def test_binseq_eq_matches_grid_oracle_on_word_pullbacks():
+    for length in range(2, 7):
+        for bits in itertools.product("01", repeat=length):
+            word = CycW("".join(bits))
+            if word.word.is_constant() or len(word.word) < length:
+                continue
+            rotated = CycW(word.word.bits[1:] + word.word.bits[0])
+            pb = word_as_pullback(word.word.bits)
+            for v in (pb, represent(pb, 3, 5)):
+                assert isinstance(v, Pullback)
+                assert binseq_class_rep(v) == word.word.bits
+                assert binseq_eq(word, v) and reference_binseq_eq(word, v)
+                assert binseq_eq(rotated, v) == reference_binseq_eq(rotated, v) == (rotated == word)
+            # the word's table repeats with period L only for odd L: for
+            # even L, L of its rows, or L cells of each, are another sequence
+            for shape in ((length, None), (None, length), (length, length)):
+                v = word_as_pullback(word.word.bits, *shape)
+                assert binseq_eq(word, v) == reference_binseq_eq(word, v) == (length % 2 == 1), shape
+
+
+@pytest.mark.parametrize("seed, cfg", BINSEQ_SAMPLES)
+def test_binseq_eq_matches_grid_oracle_on_samples(seed, cfg):
+    codes = dict.fromkeys(binseq_sample(seed, cfg))
+    words = [c for c in codes if isinstance(c, CycW)]
+    pulls = [c for c in codes if isinstance(c, Pullback)]
+    mixed_equal = 0
+    for u in words:
+        for v in pulls:
+            verdict = binseq_eq(u, v)
+            assert verdict == reference_binseq_eq(u, v), (u, v)
+            mixed_equal += verdict
+    assert mixed_equal > 0
+    # equal pullbacks re-presented with coprime repetition factors, and
+    # each re-presentation against the other pullbacks
+    for u in pulls:
+        v = represent(u, 2, 3)
+        assert binseq_eq(u, v) and binseq_eq(v, u) and reference_binseq_eq(u, v)
+        for w in pulls[:20]:
+            assert binseq_eq(v, w) == reference_binseq_eq(u, w), (u, w)
+
+
+def test_binseq_eq_on_a_large_re_presented_pair():
+    """Pullbacks over the same 77 row entries, rows repeated 17 and 23
+    times and each row's entries 13 and 19 times: 50,666 atoms.  The grid
+    oracle would scan lcm(85, 115) rows of up to lcm(377, 551) cells each,
+    so it is not run; the representatives decide the pair."""
+    lengths = (7, 11, 13, 17, 29)
+    rows = tuple(
+        Cyclic(tuple(Rational(1 + (i + j * j) % 6) for j in range(n))) for i, n in enumerate(lengths)
+    )
+    base = pullback(PairMerge(ZCode(rows)), AtomSet.of(Rational(1), Rational(3)))
+    u, v = represent(base, 17, 13), represent(base, 23, 19)
+    assert sum(len(row.entries) for w in (u, v) for row in w.base.z.entries) == 50_666
+    assert isinstance(u, Pullback) and isinstance(v, Pullback) and u != v
+    assert binseq_eq(u, v) and binseq_eq(v, base)
+    assert g_invariant(YSeq((u,))) == g_invariant(YSeq((v,)))
 
 
 @pytest.mark.parametrize("seed, cfg", BINSEQ_SAMPLES)

@@ -117,10 +117,8 @@ def test_fs2_invariant_agrees_with_double_jump():
 
 
 def test_g_invariant_examples():
-    assert g_invariant(YSeq((CycW("1010"), CycW("10")))) == frozenset({("word", "10")})
-    assert g_invariant(YSeq((CycW("10"), CycW("01")))) == frozenset(
-        {("word", "10"), ("word", "01")}
-    )
+    assert g_invariant(YSeq((CycW("1010"), CycW("10")))) == frozenset({"10"})
+    assert g_invariant(YSeq((CycW("10"), CycW("01")))) == frozenset({"10", "01"})
 
 
 def test_g_invariant_agrees_with_rel_g():
@@ -138,7 +136,7 @@ def test_g_invariant_pullback_reps():
     zb = ZCode((Cyclic((R1,)), Cyclic((R2,)), Cyclic((R1,)), Cyclic((R2,))))
     u = pullback(PairMerge(za), AtomSet.of(R1))
     v = pullback(PairMerge(zb), AtomSet.of(R1))
-    assert binseq_class_rep(u) == binseq_class_rep(v) == ("pull", ("1", "0"))
+    assert binseq_class_rep(u) == binseq_class_rep(v) == "|1|0"
     assert binseq_eq(u, v)
     w = pullback(PairMerge(za), AtomSet.of(R2))
     assert binseq_class_rep(w) != binseq_class_rep(u)
@@ -168,14 +166,14 @@ def test_g_invariant_matches_rel_g_on_oracle_samples(seed, cfg):
 
 def test_g_invariant_names_word_equal_pullback_as_word():
     assert isinstance(PULL_001, Pullback)
-    assert binseq_class_rep(PULL_001) == binseq_class_rep(WORD_001) == ("word", "001")
+    assert binseq_class_rep(PULL_001) == binseq_class_rep(WORD_001) == "001"
     assert g_invariant(YSeq((PULL_001, CycW("1")))) == g_invariant(YSeq((CycW("1"), WORD_001)))
 
 
 def test_word_row_table_period():
-    """From the word side of binseq_class_rep's lemma: the row list of a
-    primitive word of length L has primitive period L (odd L) or 2L (even
-    L), so a pullback over s rows equal to it has L | s."""
+    """From the word side of the lemma in codes.binseq_class_rep: the row
+    list of a primitive word of length L has primitive period L (odd L) or
+    2L (even L), so a pullback over s rows equal to it has L | s."""
     for length in range(1, 11):
         for bits in itertools.product("01", repeat=length):
             word = "".join(bits)

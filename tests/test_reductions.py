@@ -14,7 +14,6 @@ from carveq import (
     ReductionRecord,
     StructuralMismatch,
     Tag,
-    TypeMismatch,
     WordAtom,
     YSeq,
     ZCode,
@@ -23,7 +22,6 @@ from carveq import (
     carve,
     chain_report,
     check_reduction,
-    compose,
     const_jump_embedding,
     e_invariant,
     embed_fs2,
@@ -219,23 +217,6 @@ def test_const_jump_embedding():
         rng = stream(219, i)
         c, c2 = gen_cyclic_pair(rng, CFG)
         assert rel_F(c, c2) == code_record.target.decide(code_record.map(c), code_record.map(c2))
-
-
-def test_compose():
-    def identity(e):
-        return ReductionRecord(name=f"id[{e.name}]", source=e, target=e, map=lambda v: v)
-
-    record = embed_fs2_record()
-    composed = compose(record, identity(record.target))
-    rng = stream(223, 0)
-    pairs = [gen_zcode_pair(rng, CFG) for _ in range(50)]
-    for z, z2 in pairs:
-        assert rel_E(composed.map(z), record.map(z)) and rel_E(composed.map(z2), record.map(z2))
-    # a composition of verified reductions passes the verifier itself
-    report = check_reduction(composed, pairs)
-    assert report.status == "pass" and report.checked == 50
-    with pytest.raises(TypeMismatch):
-        compose(record, identity(F_REL))
 
 
 def test_check_reduction_pass_and_empty():
