@@ -1,17 +1,28 @@
 """Property campaigns behind the ``verify`` targets.
 
-Each campaign draws its cases from per-case substreams of the configured
-seed, computes ground truth through one route and the checked claim through
-another, and reports every disagreement.
+Each campaign is a per-case check run by :func:`reductions.run_cases`, the
+one case loop, over per-case substreams of the configured seed.  A case
+computes ground truth through one route and the checked claim through
+another and returns every disagreement; an error raised in a case is
+reported as that case's violation.
 """
 
 from .atoms import AtomSet
 from .codes import Cyclic, YSeq, binseq_eq, iota, pullback, range_atoms, range_set
 from .generators import gen_covering_family, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream
 from .invariants import e_invariant, fs2_invariant
-from .reductions import VerificationReport, Violation, canonical_basepoint, check_sampled, fiber_reduction
+from .reductions import (
+    Violation, canonical_basepoint, case_violations, check_sampled, fiber_reduction, merged, run_cases,
+)
 from .relations import PPoint, carve, rel_E, rel_F, rel_G
-from .serialize import ppoint_to_text, to_text
+from .serialize import to_text
+
+
+def _sampled(name, cfg, case, offset=0):
+    """run_cases over ``cfg.cases`` cases, case i checked by ``case(rng,
+    cfg)`` on stream(cfg.seed, offset + i)."""
+    streams = (stream(cfg.seed, i) for i in range(offset, offset + cfg.cases))
+    return run_cases(f"verify:{name}", streams, lambda rng: case(rng, cfg))
 
 
 def _cyclic_point(rng, cfg):
@@ -28,27 +39,21 @@ def _cyclic_point(rng, cfg):
             return p
 
 
+def _identity_case(rng, cfg):
+    p = _cyclic_point(rng, cfg)
+    out = fiber_reduction(p.x).map(p)
+    if len(out.entries) != len(p.y.entries):
+        return [(f"entry count changed on {to_text(p)}", len(p.y.entries), len(out.entries))]
+    for n, (got, want) in enumerate(zip(out.entries, p.y.entries)):
+        if not binseq_eq(got, want):
+            return [(f"entry {n} changed on {to_text(p)}", "y(n)", "f(p)(n)")]
+    return []
+
+
 def campaign_identity(cfg):
     """With the basepoint equal to the point's own first coordinate, the
     fiber map must return y itself, entry for entry."""
-    report = VerificationReport(name="verify:identity")
-    for i in range(cfg.cases):
-        rng = stream(cfg.seed, i)
-        p = _cyclic_point(rng, cfg)
-        out = fiber_reduction(p.x).map(p)
-        report.checked += 1
-        if len(out.entries) != len(p.y.entries):
-            report.violations.append(
-                Violation(i, f"entry count changed on {ppoint_to_text(p)}", len(p.y.entries), len(out.entries))
-            )
-            continue
-        for n, (got, want) in enumerate(zip(out.entries, p.y.entries)):
-            if not binseq_eq(got, want):
-                report.violations.append(
-                    Violation(i, f"entry {n} changed on {ppoint_to_text(p)}", "y(n)", "f(p)(n)")
-                )
-                break
-    return report
+    return _sampled("identity", cfg, _identity_case)
 
 
 def _infiber_case(rng, cfg):
@@ -58,47 +63,41 @@ def _infiber_case(rng, cfg):
     return x0, p, q
 
 
+def _claim_case(rng, cfg):
+    x0, p, q = _infiber_case(rng, cfg)
+    record = fiber_reduction(x0)
+    truth = e_invariant(p) == e_invariant(q)
+    mapped = rel_G(record.map(p), record.map(q))
+    return [] if truth == mapped else [(f"{to_text(p)} | {to_text(q)}", truth, mapped)]
+
+
 def campaign_claim(cfg):
     """The fiber map is a reduction: carve families agree exactly when the
     images relate under the jump of word equality.  Ground truth comes from
     the canonical invariant.  The basepoint-identity check runs first on the
-    same number of cases."""
-    report = campaign_identity(cfg)
-    report.name = "verify:claim"
-    for i in range(cfg.cases):
-        rng = stream(cfg.seed, 10_000 + i)
-        x0, p, q = _infiber_case(rng, cfg)
-        record = fiber_reduction(x0)
-        truth = e_invariant(p) == e_invariant(q)
-        mapped = rel_G(record.map(p), record.map(q))
-        report.checked += 1
-        if truth != mapped:
-            report.violations.append(
-                Violation(i, f"{ppoint_to_text(p)} | {ppoint_to_text(q)}", truth, mapped)
-            )
-    return report
+    same number of cases; claim case i draws from stream(seed, 10_000 + i)."""
+    return merged("verify:claim", campaign_identity(cfg), _sampled("claim", cfg, _claim_case, offset=10_000))
+
+
+def _star_case(rng, cfg):
+    x0, p, q = _infiber_case(rng, cfg)
+    record = fiber_reduction(x0)
+    fp, fq = record.map(p), record.map(q)
+    found = []
+    for n in range(len(p.y.entries)):
+        for m in range(len(q.y.entries)):
+            left = carve(p, n) == carve(q, m)
+            right = binseq_eq(fp.entries[n], fq.entries[m])
+            if left != right:
+                found.append((f"n={n} m={m}: {to_text(p)} | {to_text(q)}", left, right))
+    return found
 
 
 def campaign_star(cfg):
     """Entrywise correspondence: the n-th carve of one point equals the m-th
     carve of the other exactly when output entries n and m agree, for every
     pair of entry indices."""
-    report = VerificationReport(name="verify:star")
-    for i in range(cfg.cases):
-        rng = stream(cfg.seed, i)
-        x0, p, q = _infiber_case(rng, cfg)
-        record = fiber_reduction(x0)
-        fp, fq = record.map(p), record.map(q)
-        report.checked += 1
-        for n in range(len(p.y.entries)):
-            for m in range(len(q.y.entries)):
-                left = carve(p, n) == carve(q, m)
-                right = binseq_eq(fp.entries[n], fq.entries[m])
-                if left != right:
-                    report.violations.append(
-                        Violation(i, f"n={n} m={m}: {ppoint_to_text(p)} | {ppoint_to_text(q)}", left, right)
-                    )
-    return report
+    return _sampled("star", cfg, _star_case)
 
 
 def _remark_witness(cfg):
@@ -113,49 +112,44 @@ def _remark_witness(cfg):
     return p, q
 
 
+def _converse_fails(pair):
+    p, q = pair
+    if rel_F(p.x, q.x) and not rel_E(p, q):
+        return []
+    return [("engineered converse witness did not behave", "F and not E", "other")]
+
+
+def _remark_case(rng, cfg):
+    p1, _ = gen_ppoint(rng, cfg)
+    if rng.coin():
+        p2, _, _ = gen_infiber_pair(rng, cfg, base_atoms=tuple(range_set(p1.x)))
+    else:
+        p2, _ = gen_ppoint(rng, cfg)
+    found = []
+    if rel_E(p1, p2) and not rel_F(p1.x, p2.x):
+        found.append((f"{to_text(p1)} | {to_text(p2)}", "E", "not F"))
+    for point in (p1, p2):
+        if set().union(*point.carves) != range_atoms(point.x):
+            found.append((f"carves do not union to the range: {to_text(point)}", "union", "range"))
+    return found
+
+
 def campaign_remark(cfg):
     """Relatedness of points forces equal ranges of their first coordinates,
     every point's carves union to its range, and the converse direction fails
-    on an exhibited pair."""
-    report = VerificationReport(name="verify:remark")
+    on an exhibited pair, whose check runs first and reports index -1."""
     p, q = _remark_witness(cfg)
-    if rel_F(p.x, q.x) and not rel_E(p, q):
-        report.notes.append(
-            f"converse fails: ranges agree, families differ: {ppoint_to_text(p)} | {ppoint_to_text(q)}"
-        )
-    else:
-        report.violations.append(
-            Violation(-1, "engineered converse witness did not behave", "F and not E", "other")
-        )
-    for i in range(cfg.cases):
-        rng = stream(cfg.seed, i)
-        p1, _ = gen_ppoint(rng, cfg)
-        if rng.coin():
-            base_atoms = tuple(range_set(p1.x))
-            p2, _, _ = gen_infiber_pair(rng, cfg, base_atoms=base_atoms)
-        else:
-            p2, _ = gen_ppoint(rng, cfg)
-        report.checked += 1
-        if rel_E(p1, p2) and not rel_F(p1.x, p2.x):
-            report.violations.append(
-                Violation(i, f"{ppoint_to_text(p1)} | {ppoint_to_text(p2)}", "E", "not F")
-            )
-        for point in (p1, p2):
-            if set().union(*point.carves) != range_atoms(point.x):
-                report.violations.append(
-                    Violation(i, f"carves do not union to the range: {ppoint_to_text(point)}", "union", "range")
-                )
+    witness = case_violations(-1, _converse_fails, (p, q))
+    report = _sampled("remark", cfg, _remark_case)
+    report.violations[:0] = witness
+    if not witness:
+        report.notes.append(f"converse fails: ranges agree, families differ: {to_text(p)} | {to_text(q)}")
     return report
 
 
 def _registered(target, cfg, *names, image_check=None):
     """check_reduction on each named registry entry, merged into one report."""
-    report = VerificationReport(name=f"verify:{target}")
-    for name in names:
-        part = check_sampled(name, cfg, image_check=image_check)
-        report.checked += part.checked
-        report.violations += part.violations
-    return report
+    return merged(f"verify:{target}", *(check_sampled(name, cfg, image_check=image_check) for name in names))
 
 
 def campaign_embed(cfg):

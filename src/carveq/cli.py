@@ -21,7 +21,7 @@ import sys
 from .campaigns import CAMPAIGNS
 from .errors import CarveqError, ParseError, ResourceLimit
 from .generators import FuzzConfig
-from .invariants import closed_form, count_classes
+from .invariants import ROW_KEYS, count_row
 from .reductions import chain_report
 from .serialize import parse_any, to_text
 
@@ -84,13 +84,7 @@ def _cmd_verify(args):
 
 
 def _cmd_count(args):
-    max_period = args.max_period if args.max_period is not None else args.n
-    rows = []
-    for level in ("F", "E"):
-        count = count_classes(level, args.n, max_period)
-        closed = closed_form(level, args.n)
-        rows.append({"level": level, "n": args.n, "count": count,
-                     "closed_form": closed, "match": count == closed})
+    rows = [dict(zip(ROW_KEYS, count_row(level, args.n, args.max_period))) for level in ("F", "E")]
     if args.format == "machine":
         print(json.dumps({"rows": rows}, sort_keys=True))
     else:

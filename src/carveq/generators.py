@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .atoms import AtomSet, CyclicWord, Rational, Tag, WordAtom
 from .codes import CycW, Cyclic, PairMerge, YSeq, ZCode, pullback, range_set
+from .invariants import atom_universe
 from .relations import PPoint
 
 _MASK64 = (1 << 64) - 1
@@ -76,7 +77,7 @@ class FuzzConfig:
                 raise ValueError(f"{field} must be positive")
 
     def universe(self):
-        return tuple(Rational(i, 1) for i in range(1, self.atom_universe + 1))
+        return atom_universe(self.atom_universe)
 
 
 def gen_subset(rng, pool):

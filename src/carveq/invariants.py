@@ -138,3 +138,14 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
                 y = YSeq(tuple(codes[i] for i in range(len(codes)) if family >> i & 1))
                 seen.add(e_invariant(PPoint(x, y)))
     return len(seen)
+
+
+ROW_KEYS = ("level", "n", "count", "closed_form", "match")
+
+
+def count_row(level, n, max_period=None):
+    """One row of a class-count table, (level, n, count, closed form,
+    match), named by ``ROW_KEYS``; ``max_period`` as for count_classes."""
+    count = count_classes(level, n, max_period)
+    closed = closed_form(level, n)
+    return level, n, count, closed, count == closed

@@ -1,14 +1,17 @@
-"""Executable reductions between the relation layers, a sampling verifier,
-and the assembled reducibility-chain report.
+"""Executable reductions between the relation layers, the one case loop
+behind every check, a sampling verifier, and the assembled
+reducibility-chain report.
 
 A reduction is a map f with: points relate iff their images relate.  That
 equivalence is never assumed here; check_reduction evaluates both verdicts
-on supplied pairs and reports every disagreement.
+on supplied pairs and reports every disagreement.  Every ``verify`` target
+and every chain link runs its cases through :func:`run_cases`, which
+reports a CarveqError raised in a case as that case's violation.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .atoms import CyclicWord, WordAtom
@@ -25,7 +28,9 @@ from .codes import (
 )
 from .errors import CarveqError, DomainViolation, StructuralMismatch
 from .generators import gen_atom_pair, gen_cyclic_pair, gen_yseq_pair, gen_zcode_pair, stream
+from .invariants import ROW_KEYS, count_row
 from .relations import ATOM_EQ, E_REL, F_REL, EqRelHandle, PPoint, g_handle, jump, product
+from .serialize import to_text
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,8 @@ def fiber_reduction(x0):
             )
         )
 
-    from .serialize import aseq_to_text
-
     return ReductionRecord(
-        name=f"fiber[{aseq_to_text(x0)}]",
+        name=f"fiber[{to_text(x0)}]",
         source=restrict_to_fiber(x0),
         target=g_handle(),
         map=fmap,
@@ -192,8 +195,6 @@ def sampled_reductions():
 def _describe(value):
     """Canonical text of a source point; a product point is written
     ``<t0, t1>`` from the texts of its coordinates."""
-    from .serialize import to_text
-
     if isinstance(value, tuple):
         return "<" + ", ".join(_describe(v) for v in value) + ">"
     return to_text(value)
@@ -246,6 +247,41 @@ class VerificationReport:
         }
 
 
+def run_cases(name, cases, check):
+    """The one case loop: number ``cases`` from 0 and count each as checked.
+
+    ``check(case)`` returns a list of (detail, source_verdict,
+    target_verdict) triples, each recorded as a violation of that case.  A
+    CarveqError raised by ``check`` becomes the case's one violation, with
+    detail ``"<Type>: <message>"`` and both verdicts ``"error"``.
+    """
+    report = VerificationReport(name=name)
+    for index, case in enumerate(cases):
+        report.checked += 1
+        report.violations += case_violations(index, check, case)
+    return report
+
+
+def case_violations(index, check, case):
+    """``check(case)`` as Violations at ``index``, under run_cases' error rule."""
+    try:
+        found = check(case)
+    except CarveqError as err:
+        found = [(f"{type(err).__name__}: {err}", "error", "error")]
+    return [Violation(index, *v) for v in found]
+
+
+def merged(name, *reports):
+    """One report from several: checked counts add up, violations and notes
+    are concatenated in order."""
+    report = VerificationReport(name=name)
+    for part in reports:
+        report.checked += part.checked
+        report.violations += part.violations
+        report.notes += part.notes
+    return report
+
+
 def check_reduction(record, pairs, image_check=None):
     """Evaluate the defining equivalence on every supplied pair.
 
@@ -255,51 +291,30 @@ def check_reduction(record, pairs, image_check=None):
     None or the (detail, source_verdict, target_verdict) of a violation;
     it adds no checked case.
     """
-    report = VerificationReport(name=record.name)
-    for idx, (a, b) in enumerate(pairs):
-        report.checked += 1
-        try:
-            src = record.source.relates(a, b)
-            fa, fb = record.map(a), record.map(b)
-            tgt = record.target.relates(fa, fb)
-            found = () if image_check is None else (image_check(a, fa), image_check(b, fb))
-        except CarveqError as err:
-            report.violations.append(
-                Violation(idx, f"{type(err).__name__}: {err}", "error", "error")
-            )
-            continue
-        if src != tgt:
-            report.violations.append(
-                Violation(
-                    idx,
-                    f"pair {_describe(a)} | {_describe(b)}",
-                    src,
-                    tgt,
-                )
-            )
-        report.violations.extend(Violation(idx, *v) for v in found if v is not None)
-    return report
 
+    def check(pair):
+        a, b = pair
+        src = record.source.relates(a, b)
+        fa, fb = record.map(a), record.map(b)
+        tgt = record.target.relates(fa, fb)
+        found = [] if src == tgt else [(f"pair {_describe(a)} | {_describe(b)}", src, tgt)]
+        if image_check is not None:
+            found += [v for v in (image_check(a, fa), image_check(b, fb)) if v is not None]
+        return found
 
-def _constant_corruption(record, pairs):
-    """Test hook: replace the map by a constant map to the image of the first
-    pair's first point, which any source-unrelated sampled pair exposes."""
-    if not pairs:
-        return record
-    fixed = record.map(pairs[0][0])
-    return ReductionRecord(
-        name=record.name, source=record.source, target=record.target, map=lambda v: fixed
-    )
+    return run_cases(record.name, pairs, check)
 
 
 def check_sampled(name, cfg, corrupt=False, image_check=None):
     """check_reduction on the registry entry ``name`` over ``cfg.cases``
-    pairs, pair i drawn from stream(cfg.seed, i).  ``corrupt`` swaps in a
-    constant map (test hook)."""
+    pairs, pair i drawn from stream(cfg.seed, i) just before it is checked.
+    ``corrupt`` (test hook) swaps in a constant map to the image of pair
+    0's first point, which any source-unrelated sampled pair exposes."""
     record, sampler = sampled_reductions()[name]
-    pairs = [sampler(stream(cfg.seed, i), cfg) for i in range(cfg.cases)]
-    if corrupt:
-        record = _constant_corruption(record, pairs)
+    if corrupt and cfg.cases:
+        fixed = record.map(sampler(stream(cfg.seed, 0), cfg)[0])
+        record = replace(record, map=lambda v: fixed)
+    pairs = (sampler(stream(cfg.seed, i), cfg) for i in range(cfg.cases))
     return check_reduction(record, pairs, image_check)
 
 
@@ -359,10 +374,7 @@ class ChainReport:
                 }
                 for link in self.links
             ],
-            "growth": [
-                {"level": lv, "n": n, "count": c, "closed_form": cf, "match": m}
-                for lv, n, c, cf, m in self.growth
-            ],
+            "growth": [dict(zip(ROW_KEYS, row)) for row in self.growth],
             "status": self.status,
         }
 
@@ -383,8 +395,6 @@ def chain_report(cfg, corrupt=None):
     map gets deliberately broken (test hook); any other name is a
     ValueError.
     """
-    from .invariants import closed_form, count_classes
-
     if corrupt is not None and (corrupt not in CHAIN or corrupt == CONJECTURED):
         links = ", ".join(name for name in CHAIN if name != CONJECTURED)
         raise ValueError(f"cannot corrupt {corrupt!r}: implemented chain links are {links}")
@@ -396,10 +406,5 @@ def chain_report(cfg, corrupt=None):
         else:
             report.links.append(check_sampled(name, cfg, corrupt=corrupt == name))
 
-    for n in (1, 2, 3):
-        for level in ("F", "E"):
-            count = count_classes(level, n)
-            closed = closed_form(level, n)
-            report.growth.append((level, n, count, closed, count == closed))
-
+    report.growth = [count_row(level, n) for n in (1, 2, 3) for level in ("F", "E")]
     return report

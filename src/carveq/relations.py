@@ -248,8 +248,9 @@ def carve_family(p):
 
 
 def rel_E(p, q):
-    """Two points relate iff they carve the same family of subsets."""
-    return carve_family(p) == carve_family(q)
+    """Two points relate iff they carve the same family of subsets: the sets
+    of their kept carves are equal."""
+    return set(p.carves) == set(q.carves)
 
 
 E_REL = EqRelHandle("E", rel_E)
@@ -258,11 +259,11 @@ E_REL = EqRelHandle("E", rel_E)
 def restrict_to_fiber(x0):
     """The relation E restricted to points whose first coordinate enumerates
     the same set as ``x0``."""
-    from .serialize import aseq_to_text
+    from .serialize import to_text
 
     rng0 = range_atoms(x0)
 
     def member(p):
         return isinstance(p, PPoint) and range_atoms(p.x) == rng0
 
-    return EqRelHandle(name=f"E|{aseq_to_text(x0)}", decide=rel_E, member=member)
+    return EqRelHandle(name=f"E|{to_text(x0)}", decide=rel_E, member=member)

@@ -24,6 +24,7 @@ import re
 from .atoms import MAX_TAG_DEPTH, AtomSet, Rational, Tag, WordAtom
 from .codes import CycW, Cyclic, PairMerge, Pullback, YSeq, ZCode, pullback
 from .errors import ParseError
+from .relations import PPoint
 
 # On a str pattern \s matches exactly the characters for which str.isspace
 # is true.
@@ -34,61 +35,29 @@ _BIT = re.compile(r"[01]")
 _BITS = re.compile(r"[01]+")
 
 
-def atom_to_text(a):
-    if isinstance(a, Rational):
-        return f"(rat {a.num} {a.den})"
-    if isinstance(a, Tag):
-        return f"(tag {a.bit} {atom_to_text(a.inner)})"
-    if isinstance(a, WordAtom):
-        return f"(word {a.word.bits})"
-    raise TypeError(f"not an atom: {a!r}")
-
-
-def aseq_to_text(x):
-    if isinstance(x, Cyclic):
-        return "(cyc " + " ".join(atom_to_text(a) for a in x.entries) + ")"
-    if isinstance(x, PairMerge):
-        return f"(pairmerge {zcode_to_text(x.z)})"
-    raise TypeError(f"not an atom-sequence code: {x!r}")
-
-
-def binseq_to_text(b):
-    if isinstance(b, CycW):
-        return f"(cw {b.word.bits})"
-    if isinstance(b, Pullback):
-        inner = " ".join(atom_to_text(a) for a in b.aset)
-        return f"(pull {aseq_to_text(b.base)} (set {inner}))"
-    raise TypeError(f"not a binary-sequence code: {b!r}")
-
-
-def yseq_to_text(y):
-    return "(ylist " + " ".join(binseq_to_text(b) for b in y.entries) + ")"
-
-
-def zcode_to_text(z):
-    return "(zlist " + " ".join(aseq_to_text(row) for row in z.entries) + ")"
-
-
-def ppoint_to_text(p):
-    return f"(p {aseq_to_text(p.x)} {yseq_to_text(p.y)})"
-
-
 def to_text(value):
-    """Serialize any value of the algebra, dispatching on its type."""
-    from .relations import PPoint
-
-    if isinstance(value, (Rational, Tag, WordAtom)):
-        return atom_to_text(value)
-    if isinstance(value, (Cyclic, PairMerge)):
-        return aseq_to_text(value)
-    if isinstance(value, (CycW, Pullback)):
-        return binseq_to_text(value)
+    """Serialize any value of the algebra: one dispatch on its type, applied
+    again to each of its parts."""
+    if isinstance(value, Rational):
+        return f"(rat {value.num} {value.den})"
+    if isinstance(value, Tag):
+        return f"(tag {value.bit} {to_text(value.inner)})"
+    if isinstance(value, WordAtom):
+        return f"(word {value.word.bits})"
+    if isinstance(value, Cyclic):
+        return "(cyc " + " ".join(map(to_text, value.entries)) + ")"
+    if isinstance(value, PairMerge):
+        return f"(pairmerge {to_text(value.z)})"
+    if isinstance(value, CycW):
+        return f"(cw {value.word.bits})"
+    if isinstance(value, Pullback):
+        return f"(pull {to_text(value.base)} (set {' '.join(map(to_text, value.aset))}))"
     if isinstance(value, YSeq):
-        return yseq_to_text(value)
+        return "(ylist " + " ".join(map(to_text, value.entries)) + ")"
     if isinstance(value, ZCode):
-        return zcode_to_text(value)
+        return "(zlist " + " ".join(map(to_text, value.entries)) + ")"
     if isinstance(value, PPoint):
-        return ppoint_to_text(value)
+        return f"(p {to_text(value.x)} {to_text(value.y)})"
     raise TypeError(f"not serializable: {value!r}")
 
 
@@ -229,8 +198,6 @@ class _Parser:
         return ZCode(self._items("zlist", self._cyc, "row"))
 
     def ppoint(self):
-        from .relations import PPoint
-
         kw = self.head()
         if kw != "p":
             self.error(f"expected 'p', found {kw!r}")

@@ -25,7 +25,7 @@ from carveq import (
     pullback,
 )
 from carveq.atoms import MAX_TAG_DEPTH
-from carveq.serialize import atom_to_text, parse_atom
+from carveq.serialize import parse_atom, to_text
 
 from helpers import R1, R2
 
@@ -59,7 +59,7 @@ def test_tag_depth_cap_through_the_api():
     deep = Rational(1, 1)
     for _ in range(MAX_TAG_DEPTH):
         deep = Tag(1, deep)
-    assert parse_atom(atom_to_text(deep)) == deep
+    assert parse_atom(to_text(deep)) == deep
     assert len(AtomSet.of(deep, Rational(2))) == 2
     with pytest.raises(ValueError):
         Tag(0, deep)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from carveq import FuzzConfig, StructuralMismatch, campaigns, fs2_invariant, parse_any, reductions, stream
+from carveq import FuzzConfig, StructuralMismatch, campaigns, fs2_invariant, parse_any, reductions, rel_G, stream, to_text
 from carveq.cli import main
 
 from helpers import mutated_texts, option_like_texts
@@ -107,6 +107,31 @@ def test_verify_records_map_errors(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["checked"] == 5
     assert [v["detail"] for v in payload["violations"]] == ["StructuralMismatch: refused"] * 5
+
+
+def refuse(*args):
+    raise StructuralMismatch("refused")
+
+
+@pytest.mark.parametrize("target, name", [("claim", "rel_G"), ("star", "binseq_eq"), ("remark", "rel_E")])
+def test_verify_reports_an_error_raised_in_a_campaign_case(capsys, monkeypatch, target, name):
+    monkeypatch.setattr(campaigns, name, refuse)
+    code, out, _ = run(capsys, "verify", target, "--cases", "3", "--format", "machine")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["checked"] == (6 if target == "claim" else 3)
+    assert {v["detail"] for v in payload["violations"]} == {"StructuralMismatch: refused"}
+    assert [v["index"] for v in payload["violations"] if v["index"] >= 0] == [0, 1, 2]
+
+
+def test_claim_violations_replay_from_their_streams(monkeypatch):
+    cfg = FuzzConfig(seed=3, cases=8)
+    monkeypatch.setattr(campaigns, "rel_G", lambda y, y2: not rel_G(y, y2))
+    report = campaigns.campaign_claim(cfg)
+    assert [v.index for v in report.violations] == list(range(cfg.cases))
+    for v in report.violations:
+        _, p, q = campaigns._infiber_case(stream(cfg.seed, 10_000 + v.index), cfg)
+        assert v.detail == f"{to_text(p)} | {to_text(q)}"
 
 
 def test_interleave_tagging_violation_is_json(capsys, monkeypatch):

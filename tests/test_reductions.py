@@ -44,7 +44,7 @@ from carveq.generators import (
     gen_yseq_pair,
     gen_zcode_pair,
 )
-from carveq.reductions import embed_fs2_record, link_status
+from carveq.reductions import check_sampled, embed_fs2_record, link_status, run_cases, sampled_reductions
 
 from helpers import R1, R2, R3
 
@@ -262,6 +262,26 @@ def test_check_reduction_records_domain_errors():
     report = check_reduction(record, [(inside, outside)])
     assert report.status == "fail"
     assert "DomainViolation" in report.violations[0].detail
+
+
+def test_run_cases_records_a_raised_error_as_the_cases_violation():
+    def check(case):
+        if case == "bad":
+            raise StructuralMismatch("refused")
+        return [("odd", 1, 0)] * (case % 2)
+
+    report = run_cases("demo", iter([2, "bad", 3]), check)
+    assert report.checked == 3
+    assert [v.to_machine() for v in report.violations] == [
+        {"index": 1, "detail": "StructuralMismatch: refused", "source_verdict": "error", "target_verdict": "error"},
+        {"index": 2, "detail": "odd", "source_verdict": 1, "target_verdict": 0},
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(sampled_reductions()))
+def test_check_sampled_corrupt_with_no_cases_passes(name):
+    report = check_sampled(name, FuzzConfig(cases=0), corrupt=True)
+    assert report.status == "pass" and report.checked == 0
 
 
 def test_chain_report_structure():

@@ -45,7 +45,7 @@ from carveq.generators import (
     gen_zcode,
 )
 from carveq.reductions import embed_fs2
-from carveq.serialize import ppoint_to_text
+from carveq.serialize import to_text
 
 from helpers import (
     PULL_001,
@@ -369,7 +369,7 @@ def test_carves_outside_equality_and_text():
     assert p == q and p is not q
     assert hash(p) == hash(q) == hash((DISPLAY_X, DISPLAY_Y))
     assert "carves" not in repr(p)
-    assert ppoint_to_text(p) == (
+    assert to_text(p) == (
         "(p (cyc (rat 1 1) (rat 2 1) (rat 3 1) (rat 4 1)) (ylist (cw 0011) (cw 1110) (cw 01)))"
     )
 
