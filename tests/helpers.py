@@ -358,3 +358,13 @@ def option_like_texts(seed, n):
             text = text[:at] + rng.choice(OPTION_ALPHABET) + text[at:]
         texts.append("-" + text)
     return texts
+
+
+def parse_outcome(text, entry):
+    """What ``entry(text)`` does, as one line: ``"ok "`` and the repr of
+    the value it returns, or the type, message and position (None unless
+    a ParseError) of the error it raises."""
+    try:
+        return "ok " + repr(entry(text))
+    except Exception as err:
+        return f"{type(err).__name__} {err} @{getattr(err, 'position', None)}"

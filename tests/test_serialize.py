@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +27,7 @@ from carveq import (
 from carveq.generators import gen_serial_value
 from carveq.serialize import _TOKEN
 
-from helpers import R1, R2, reference_tokens
+from helpers import R1, R2, mutated_texts, option_like_texts, parse_outcome, reference_tokens
 
 # strings the printer would never emit, plus canonical ones
 VECTORS = [
@@ -159,3 +161,29 @@ def test_printer_emits_canonical_pullback():
     text = to_text(pb)
     assert text == "(pull (pairmerge (zlist (cyc (rat 1 1)) (cyc (rat 2 1)))) (set (rat 1 1)))"
     assert parse_any(text) == pb
+
+
+# md5 of every entry point's outcome over PARSE_CORPUS, computed once with
+# the parser before its index-read rewrite.  A parser change must leave it
+# as it is: never recompute it to make this test pass.
+PARSE_OUTCOMES_MD5 = "cab5c091ae7a27d054973b308adb0e33"
+
+
+def parse_corpus():
+    """Mutated and option-like texts, and every third-character prefix of
+    300 canonical texts together with the whole text."""
+    cfg = FuzzConfig(cases=0, max_period=4, max_entries=3, atom_universe=3)
+    texts = mutated_texts(7, 2000) + option_like_texts(7, 500)
+    for i in range(300):
+        text = to_text(gen_serial_value(stream(13, i), cfg))
+        texts.extend(text[:k] for k in range(0, len(text), 3))
+        texts.append(text)
+    return texts
+
+
+def test_parse_outcomes_are_pinned():
+    digest = hashlib.md5()
+    for text in parse_corpus():
+        for entry in (parse_atom, parse_aseq, parse_binseq, parse_ppoint, parse_any):
+            digest.update(parse_outcome(text, entry).encode() + b"\n")
+    assert digest.hexdigest() == PARSE_OUTCOMES_MD5
