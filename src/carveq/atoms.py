@@ -82,12 +82,15 @@ class Rational(_kept("_hash")):
     def __post_init__(self):
         if self.den == 0:
             raise ValueError("zero denominator")
-        g = math.gcd(self.num, self.den)
-        num, den = self.num // g, self.den // g
-        if den < 0:
-            num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num, den = self.num, self.den
+        g = math.gcd(num, den)
+        # Rewrite only for a common factor, den < 0 or an int subclass (bool).
+        if g != 1 or den < 0 or type(num) is not int or type(den) is not int:
+            if den < 0:
+                g = -g
+            num, den = num // g, den // g
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", hash((num, den)))
 
 
@@ -126,10 +129,6 @@ Atom = Union[Rational, Tag, WordAtom]
 _ATOM_TYPES = (Rational, Tag, WordAtom)
 
 
-def is_atom(value):
-    return isinstance(value, _ATOM_TYPES)
-
-
 def atom_eq(a, b):
     """Structural equality of atoms; an equivalence relation for free."""
     return a == b
@@ -165,7 +164,7 @@ class AtomSet(_kept("_hash", "_sort_key")):
 
     def __post_init__(self):
         for a in self.elements:
-            if not is_atom(a):
+            if not isinstance(a, _ATOM_TYPES):
                 raise TypeError(f"not an atom: {a!r}")
         canon = tuple(sorted(set(self.elements), key=atom_sort_key))
         object.__setattr__(self, "elements", canon)

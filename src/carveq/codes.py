@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .atoms import AtomSet, CyclicWord, Tag, _kept, is_atom, primitive_root
+from .atoms import _ATOM_TYPES, AtomSet, CyclicWord, Tag, _kept, primitive_root
 from .pairing import cantor_pair, cantor_unpair
 
 
@@ -29,7 +29,7 @@ class Cyclic(_kept("_carves")):
         if not entries:
             raise ValueError("Cyclic needs at least one entry")
         for a in entries:
-            if not is_atom(a):
+            if not isinstance(a, _ATOM_TYPES):
                 raise TypeError(f"Cyclic entries must be atoms, got {a!r}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_carves", None)

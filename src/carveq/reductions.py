@@ -83,9 +83,10 @@ def fiber_reduction(x0):
             )
         )
 
+    source = restrict_to_fiber(x0)  # renders x0 once, into its name
     return ReductionRecord(
-        name=f"fiber[{to_text(x0)}]",
-        source=restrict_to_fiber(x0),
+        name=f"fiber[{source.name.removeprefix('E|')}]",
+        source=source,
         target=g_handle(),
         map=fmap,
     )

@@ -62,77 +62,78 @@ def to_text(value):
 
 
 class _Parser:
+    """Recursive descent over the token list, which ends in the sentinel
+    ``""``: no token is empty, so the sentinel matches nothing, and each
+    read is an index into the list with no end check of its own."""
+
     def __init__(self, text):
         self.text = text
-        self.tokens = _TOKEN.findall(text)
+        self.tokens = _TOKEN.findall(text) + [""]
         self.pos = 0
+        self.last_span = self.last_aseq = None
 
     def error(self, message):
-        """Raise at the start of token ``pos``, or at the end of the text
-        past the last token.  Only a failing parse needs positions, so they
-        are found here by scanning the text again."""
+        """Raise at the start of token ``pos``, the end of the text at the
+        sentinel: found by scanning again, as only a failing parse needs it."""
         starts = [m.start() for m in _TOKEN.finditer(self.text)]
         raise ParseError(message, (starts + [len(self.text)])[self.pos])
 
-    def peek(self):
-        if self.pos >= len(self.tokens):
-            self.error("unexpected end of input")
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+    def fail(self, message):
+        """Raise ``message``, or ``unexpected end of input`` at the sentinel."""
+        self.error("unexpected end of input" if self.tokens[self.pos] == "" else message)
 
     def expect(self, tok):
-        if self.peek() != tok:
-            self.error(f"expected {tok!r}, found {self.peek()!r}")
-        return self.next()
+        found = self.tokens[self.pos]
+        if found != tok:
+            self.fail(f"expected {tok!r}, found {found!r}")
+        self.pos += 1
 
     def head(self):
         """Consume '(' and return the keyword after it (not consumed)."""
         self.expect("(")
-        kw = self.peek()
+        kw = self.tokens[self.pos]
         if kw in "()":
-            self.error("expected a keyword after '('")
+            self.fail("expected a keyword after '('")
         return kw
 
     def done(self):
-        if self.pos != len(self.tokens):
+        if self.tokens[self.pos]:
             self.error("trailing input after complete form")
 
     def token(self, pattern, noun):
         """Consume and return a token that ``pattern`` matches in full, or
         raise ``expected <noun>, found <token>`` at it."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if not pattern.fullmatch(tok):
-            self.error(f"expected {noun}, found {tok!r}")
+            self.fail(f"expected {noun}, found {tok!r}")
         self.pos += 1
         return tok
 
-    def _to_int(self, tok):
-        """int() of the digit token just consumed; a token with more digits
-        than int() converts is a parse error at its position."""
+    def integer(self, pattern, noun):
+        """int() of a digit token as :meth:`token` reads it; a token with
+        more digits than int() converts is a parse error at its position."""
+        tok = self.tokens[self.pos]
+        if not pattern.fullmatch(tok):
+            self.fail(f"expected {noun}, found {tok!r}")
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
-            self.pos -= 1
             self.error(f"integer too long to convert ({len(tok)} characters)")
+        self.pos += 1
+        return value
 
     def atom(self, depth=0):
         kw = self.head()
+        self.pos += 1
         if kw == "rat":
-            self.next()
-            num = self._to_int(self.token(_INT, "an integer"))
-            tok = self.token(_POSINT, "a positive integer")
-            den = self._to_int(tok)
+            num = self.integer(_INT, "an integer")
+            den = self.integer(_POSINT, "a positive integer")
             if den == 0:
                 self.pos -= 1
-                self.error(f"expected a positive integer, found {tok!r}")
+                self.error(f"expected a positive integer, found {self.tokens[self.pos]!r}")
             self.expect(")")
             return Rational(num, den)
         if kw == "tag":
-            self.next()
             bit = int(self.token(_BIT, "a bit"))
             if depth == MAX_TAG_DEPTH:
                 self.error(f"tags nested deeper than {MAX_TAG_DEPTH}")
@@ -140,51 +141,65 @@ class _Parser:
             self.expect(")")
             return Tag(bit, inner)
         if kw == "word":
-            self.next()
             bits = self.token(_BITS, "a 0/1 string")
             self.expect(")")
             return WordAtom(bits)
+        self.pos -= 1
         self.error(f"expected an atom keyword, found {kw!r}")
 
     def _items(self, kw, item, noun):
         """Parse ``( kw item* )`` and return the items as a tuple.  An empty
-        list is an error naming ``noun``, unless ``noun`` is None."""
+        list is an error naming ``noun``, unless ``noun`` is None.  At the
+        sentinel the next item fails in :meth:`head`."""
         found = self.head()
         if found != kw:
             self.error(f"expected {kw!r}, found {found!r}")
-        self.next()
+        self.pos += 1
         items = []
-        while self.peek() != ")":
+        while self.tokens[self.pos] != ")":
             items.append(item())
         if not items and noun is not None:
             self.error(f"{kw} needs at least one {noun}")
-        self.expect(")")
+        self.pos += 1
         return tuple(items)
 
     def _cyc(self):
         return Cyclic(self._items("cyc", self.atom, "atom"))
 
     def aseq(self):
+        """Parse an atom-sequence, or skip a repeat of the tokens of the
+        last one parsed in this text and return its value.  The grammar is
+        context-free and tag depth restarts at 0 in every atom-sequence, so
+        equal token runs parse to equal values, and a run that parsed once
+        cannot fail.  A point repeats its base in every pullback entry: the
+        base is parsed once, and the entries share it and its slots."""
+        start, span = self.pos, self.last_span
+        if span is not None and self.tokens[start:start + len(span)] == span:
+            self.pos += len(span)
+            return self.last_aseq
         kw = self.head()
         if kw == "cyc":
             self.pos -= 1
-            return self._cyc()
-        if kw == "pairmerge":
-            self.next()
+            value = self._cyc()
+        elif kw == "pairmerge":
+            self.pos += 1
             z = self.zcode()
             self.expect(")")
-            return PairMerge(z)
-        self.error(f"expected an atom-sequence keyword, found {kw!r}")
+            value = PairMerge(z)
+        else:
+            self.error(f"expected an atom-sequence keyword, found {kw!r}")
+        self.last_span, self.last_aseq = self.tokens[start:self.pos], value
+        return value
 
     def binseq(self):
         kw = self.head()
         if kw == "cw":
-            self.next()
+            self.pos += 1
             bits = self.token(_BITS, "a 0/1 string")
             self.expect(")")
             return CycW(bits)
         if kw == "pull":
-            self.next()
+            self.pos += 1
             base = self.aseq()
             atoms = self._items("set", self.atom, None)
             self.expect(")")
@@ -201,7 +216,7 @@ class _Parser:
         kw = self.head()
         if kw != "p":
             self.error(f"expected 'p', found {kw!r}")
-        self.next()
+        self.pos += 1
         x = self.aseq()
         y = self.yseq()
         self.expect(")")
@@ -209,21 +224,20 @@ class _Parser:
 
     def any(self):
         kw = self.head()
+        form = _FORMS.get(kw)
+        if form is None:
+            self.error(f"unknown form keyword {kw!r}")
         self.pos -= 1
-        if kw in ("rat", "tag", "word"):
-            return self.atom()
-        if kw in ("cyc", "pairmerge"):
-            return self.aseq()
-        if kw in ("cw", "pull"):
-            return self.binseq()
-        if kw == "ylist":
-            return self.yseq()
-        if kw == "zlist":
-            return self.zcode()
-        if kw == "p":
-            return self.ppoint()
-        self.pos += 1
-        self.error(f"unknown form keyword {kw!r}")
+        return form(self)
+
+
+# The form each leading keyword starts, for parse_any.
+_FORMS = {
+    **dict.fromkeys(("rat", "tag", "word"), _Parser.atom),
+    **dict.fromkeys(("cyc", "pairmerge"), _Parser.aseq),
+    **dict.fromkeys(("cw", "pull"), _Parser.binseq),
+    "ylist": _Parser.yseq, "zlist": _Parser.zcode, "p": _Parser.ppoint,
+}
 
 
 def _run(text, method):

@@ -1,9 +1,10 @@
 import copy
 import dataclasses
+import fractions
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from carveq import (
     AtomSet,
@@ -179,3 +180,17 @@ def test_values_have_slots_and_unchanged_fields():
 def test_atom_set_operations():
     s = AtomSet.of(Rational(1, 1), Rational(2, 1))
     assert Rational(1, 1) in s and Rational(3, 1) not in s
+
+
+@settings(derandomize=True, max_examples=500)
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(bool))
+def test_rational_is_the_fraction_in_lowest_terms(n, d):
+    r, f = Rational(n, d), fractions.Fraction(n, d)
+    assert (r.num, r.den) == (f.numerator, f.denominator) and r.den > 0
+    assert type(r.num) is int and type(r.den) is int
+    assert hash(r) == hash((f.numerator, f.denominator))
+
+
+def test_rational_of_bools_holds_ints():
+    r = Rational(True, True)
+    assert r == Rational(1, 1) and type(r.num) is int and type(r.den) is int

@@ -57,6 +57,26 @@ def test_canonical_basepoint():
         canonical_basepoint(AtomSet(()))
 
 
+def test_fiber_reduction_renders_its_basepoint_once(monkeypatch):
+    from carveq import reductions, serialize
+
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return render(value)
+
+    render = serialize.to_text
+    monkeypatch.setattr(serialize, "to_text", counting)
+    monkeypatch.setattr(reductions, "to_text", counting)
+    x0 = Cyclic((R1, Tag(1, R2)))
+    t = render(x0)
+    record = fiber_reduction(x0)
+    assert record.name == f"fiber[{t}]"
+    assert record.source.name == f"E|{t}"
+    assert calls.count(x0) == 1  # the other calls are to_text's recursion into x0's atoms
+
+
 def test_fiber_reduction_identity_on_basepoint():
     x0 = Cyclic((R1, R2, R3))
     y = YSeq((CycW("110"), CycW("001"), CycW("111")))

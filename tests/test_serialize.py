@@ -10,10 +10,14 @@ from carveq import (
     Cyclic,
     FuzzConfig,
     ParseError,
+    PPoint,
     PairMerge,
+    Pullback,
     Rational,
+    StructuralMismatch,
     Tag,
     WordAtom,
+    YSeq,
     ZCode,
     parse_any,
     parse_aseq,
@@ -27,7 +31,7 @@ from carveq import (
 from carveq.generators import gen_serial_value
 from carveq.serialize import _TOKEN
 
-from helpers import R1, R2, mutated_texts, option_like_texts, parse_outcome, reference_tokens
+from helpers import R1, R2, R3, R4, mutated_texts, option_like_texts, parse_outcome, reference_tokens
 
 # strings the printer would never emit, plus canonical ones
 VECTORS = [
@@ -161,6 +165,35 @@ def test_printer_emits_canonical_pullback():
     text = to_text(pb)
     assert text == "(pull (pairmerge (zlist (cyc (rat 1 1)) (cyc (rat 2 1)))) (set (rat 1 1)))"
     assert parse_any(text) == pb
+
+
+# Two pair-merge bases that differ in one atom, and a point over the first.
+BASE_A = PairMerge(ZCode((Cyclic((R1, R2)), Cyclic((R3,)))))
+BASE_B = PairMerge(ZCode((Cyclic((R1, R4)), Cyclic((R3,)))))
+POINT_A = PPoint(BASE_A, YSeq((pullback(BASE_A, AtomSet.of(R1)), pullback(BASE_A, AtomSet.of(R2, R3)))))
+
+
+def test_parsed_point_entries_share_its_base():
+    p = parse_ppoint(to_text(POINT_A))
+    assert p == POINT_A
+    assert all(isinstance(e, Pullback) and e.base is p.x for e in p.y.entries)
+
+
+def test_entry_over_a_base_one_token_off_is_a_mismatch():
+    text = to_text(POINT_A)
+    # x, then entry 0's base, then entry 1's base: change entry 1's (rat 2 1).
+    at = text.index("(rat 2 1)", text.index("(rat 2 1)", text.index("(rat 2 1)") + 1) + 1)
+    bad = text[:at] + "(rat 4 1)" + text[at + len("(rat 4 1)"):]
+    with pytest.raises(StructuralMismatch, match="entry 1 pulls back over a different base"):
+        parse_ppoint(bad)
+
+
+def test_alternating_bases_round_trip():
+    y = YSeq((pullback(BASE_A, AtomSet.of(R1)), pullback(BASE_B, AtomSet.of(R4)), pullback(BASE_A, AtomSet.of(R3))))
+    text = to_text(y)
+    back = parse_any(text)
+    assert back == y and to_text(back) == text
+    assert [e.base for e in back.entries] == [BASE_A, BASE_B, BASE_A]
 
 
 # md5 of every entry point's outcome over PARSE_CORPUS, computed once with
