@@ -16,7 +16,9 @@ included).  Error positions count characters from the start of the text.
 The printer emits canonical forms (single spaces, lowest terms, primitive
 words, normalized pullbacks); the parser builds values through the normal
 constructors, so print . parse is idempotent and parse . print is the
-identity on canonical values.
+identity on canonical values.  A repeated atom-sequence text, such as a
+point's base inside each pullback entry, is parsed once per text, and the
+entries share its value and what its slots keep.
 """
 
 import re
@@ -171,8 +173,7 @@ class _Parser:
         last one parsed in this text and return its value.  The grammar is
         context-free and tag depth restarts at 0 in every atom-sequence, so
         equal token runs parse to equal values, and a run that parsed once
-        cannot fail.  A point repeats its base in every pullback entry: the
-        base is parsed once, and the entries share it and its slots."""
+        cannot fail: the repeat would parse to an equal value."""
         start, span = self.pos, self.last_span
         if span is not None and self.tokens[start:start + len(span)] == span:
             self.pos += len(span)
