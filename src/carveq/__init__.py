@@ -76,18 +76,17 @@ from .relations import (
     ATOM_EQ,
     E_REL,
     F_REL,
+    G_REL,
     EqRelHandle,
     PPoint,
     carve,
     carve_family,
     carve_pair,
-    g_handle,
     jump,
     product,
     rel_E,
     rel_F,
     rel_G,
-    restrict_to_fiber,
 )
 from .serialize import (
     parse_any,

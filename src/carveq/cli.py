@@ -8,10 +8,11 @@ Subcommands:
     echo [TEXT]       parse a serialized code (argument or stdin) and print
                       its canonical form
 
-Flags of verify, count and chain: --seed --cases --atom-universe
---max-period --max-entries --format {text,machine}.  echo takes only
---help; any other argument is its text.  Exit codes: 0 pass,
-1 violation, 2 usage or configuration error.
+verify and chain take --seed --cases --atom-universe --max-period (default 6)
+--max-entries --format {text,machine}; chain also takes --corrupt LINK.
+count takes --max-period (default --n) and --format.  echo takes only
+--help; any other argument is its text.  Exit codes: 0 pass, 1 violation,
+2 usage or configuration error.
 """
 
 import argparse
@@ -26,35 +27,34 @@ from .reductions import chain_report
 from .serialize import parse_any, to_text
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    sub.add_argument("--cases", type=int, default=1000, help="cases per campaign (default 1000)")
-    sub.add_argument("--atom-universe", type=int, default=4, dest="atom_universe",
-                     help="number of distinct atoms drawn from (default 4)")
-    sub.add_argument("--max-period", type=int, default=None, dest="max_period",
-                     help="max cyclic period (default 6; for count, defaults to --n)")
-    sub.add_argument("--max-entries", type=int, default=5, dest="max_entries",
-                     help="max entries per sequence (default 5)")
-    sub.add_argument("--format", choices=("text", "machine"), default="text",
-                     help="report format (default text)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="carveq", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run one property campaign")
     pv.add_argument("target", choices=sorted(CAMPAIGNS))
-    _add_common(pv)
 
     pc = sub.add_parser("count", help="brute-force class counts")
     pc.add_argument("--n", type=int, required=True, help="atom universe size")
-    _add_common(pc)
+    pc.add_argument("--max-period", type=int, default=None, dest="max_period",
+                    help="max cyclic period (default --n)")
 
     pch = sub.add_parser("chain", help="verify the reducibility chain")
     pch.add_argument("--corrupt", default=None, metavar="LINK",
                      help="deliberately corrupt a link map (test hook)")
-    _add_common(pch)
+
+    for campaign in (pv, pch):
+        campaign.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
+        campaign.add_argument("--cases", type=int, default=1000, help="cases per campaign (default 1000)")
+        campaign.add_argument("--atom-universe", type=int, default=4, dest="atom_universe",
+                              help="number of distinct atoms drawn from (default 4)")
+        campaign.add_argument("--max-period", type=int, default=6, dest="max_period",
+                              help="max cyclic period (default 6)")
+        campaign.add_argument("--max-entries", type=int, default=5, dest="max_entries",
+                              help="max entries per sequence (default 5)")
+    for report in (pv, pc, pch):
+        report.add_argument("--format", choices=("text", "machine"), default="text",
+                            help="report format (default text)")
 
     pe = sub.add_parser("echo", help="canonicalize a serialized code",
                         add_help=False, allow_abbrev=False)
@@ -69,7 +69,7 @@ def _config(args):
         seed=args.seed,
         cases=args.cases,
         atom_universe=args.atom_universe,
-        max_period=args.max_period if args.max_period is not None else 6,
+        max_period=args.max_period,
         max_entries=args.max_entries,
     )
 

@@ -11,25 +11,27 @@ reports a CarveqError raised in a case as that case's violation.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from .atoms import CyclicWord, WordAtom
 from .codes import (
     CycW,
     Cyclic,
+    PairMerge,
     YSeq,
     ZCode,
     binseq_value_at,
     grid_cells,
     iota,
+    pullback,
     range_atoms,
     range_set,
 )
 from .errors import CarveqError, DomainViolation, StructuralMismatch
 from .generators import gen_atom_pair, gen_cyclic_pair, gen_yseq_pair, gen_zcode_pair, stream
 from .invariants import ROW_KEYS, count_row
-from .relations import ATOM_EQ, E_REL, F_REL, EqRelHandle, PPoint, g_handle, jump, product
+from .relations import ATOM_EQ, E_REL, F_REL, G_REL, EqRelHandle, PPoint, jump, product
 from .serialize import to_text
 
 
@@ -47,8 +49,6 @@ class ReductionRecord:
 def canonical_basepoint(aset):
     """Sorted cyclic enumeration of an atom set: the canonical representative
     of its range class."""
-    if len(aset) == 0:
-        raise ValueError("a basepoint needs a nonempty range")
     return Cyclic(aset.elements)
 
 
@@ -60,17 +60,25 @@ def fiber_reduction(x0):
     index k' with x(k') = x0(k).  The least grid cell index of each value
     of x is its first index (see grid_cells); the fiber condition makes
     range(x) cover every x0(k), so each has a witness, and clause (3) makes
-    every witness give the same bit.
+    every witness give the same bit.  The fiber holds the points whose x
+    enumerates the same set as x0; the source decision and the map share one
+    check of it, which raises DomainViolation outside.
     """
     if not isinstance(x0, Cyclic):
         raise StructuralMismatch("fiber basepoints must be cyclic codes")
-    from .relations import restrict_to_fiber
-
     rng0 = range_atoms(x0)
 
-    def fmap(p):
+    def check_in_fiber(p):
         if not isinstance(p, PPoint) or range_atoms(p.x) != rng0:
             raise DomainViolation("point outside the fiber of the basepoint")
+
+    def decide(p, q):
+        check_in_fiber(p)
+        check_in_fiber(q)
+        return E_REL.decide(p, q)
+
+    def fmap(p):
+        check_in_fiber(p)
         first = {}
         for kp, a in grid_cells(p.x):
             if kp < first.get(a, kp + 1):
@@ -83,13 +91,9 @@ def fiber_reduction(x0):
             )
         )
 
-    source = restrict_to_fiber(x0)  # renders x0 once, into its name
-    return ReductionRecord(
-        name=f"fiber[{source.name.removeprefix('E|')}]",
-        source=source,
-        target=g_handle(),
-        map=fmap,
-    )
+    text = to_text(x0)
+    source = EqRelHandle(f"E|{text}", decide)
+    return ReductionRecord(name=f"fiber[{text}]", source=source, target=G_REL, map=fmap)
 
 
 def embed_fs2(z):
@@ -102,8 +106,6 @@ def embed_fs2(z):
     """
     if not isinstance(z, ZCode):
         raise TypeError(f"not a ZCode: {z!r}")
-    from .codes import PairMerge, pullback
-
     x = PairMerge(z)
     y = YSeq(tuple(pullback(x, range_set(row)) for row in z.entries))
     return PPoint(x, y)
@@ -148,9 +150,9 @@ def g_to_f(y):
 def const_jump_embedding(e, wrap=Cyclic):
     """Embedding of ``e`` into its jump (see :func:`relations.jump`): points
     map to one-entry sequences; the class set of a singleton list is the
-    singleton of the point's class, so the jump relates images exactly when
-    the points relate.  ``wrap`` picks the sequence type of the image
-    (Cyclic for atoms, ZCode for cyclic codes)."""
+    singleton of the point's class, so images are related under the jump
+    exactly when the points are related.  ``wrap`` picks the sequence type
+    of the image (Cyclic for atoms, ZCode for cyclic codes)."""
     return ReductionRecord(
         name=f"const[{e.name}]", source=e, target=jump(e), map=lambda v: wrap((v,))
     )
@@ -179,14 +181,14 @@ def sampled_reductions():
     entries = (
         (embed_fs2_record(), gen_zcode_pair),
         (
-            ReductionRecord("fxg_to_fxf", product(F_REL, g_handle()), fxf, lambda xy: (xy[0], g_to_f(xy[1]))),
+            ReductionRecord("fxg_to_fxf", product(F_REL, G_REL), fxf, lambda xy: (xy[0], g_to_f(xy[1]))),
             _product_sampler(gen_cyclic_pair, gen_yseq_pair),
         ),
         (
             ReductionRecord("fxf_to_f", fxf, F_REL, lambda xy: pair_interleave(xy[0], xy[1])),
             _product_sampler(gen_cyclic_pair, gen_cyclic_pair),
         ),
-        (ReductionRecord("g_to_f", g_handle(), F_REL, g_to_f), gen_yseq_pair),
+        (ReductionRecord("g_to_f", G_REL, F_REL, g_to_f), gen_yseq_pair),
         (const_jump_embedding(ATOM_EQ), gen_atom_pair),
         (const_jump_embedding(F_REL, wrap=ZCode), gen_cyclic_pair),
     )
@@ -207,14 +209,6 @@ class Violation:
     detail: str
     source_verdict: object
     target_verdict: object
-
-    def to_machine(self):
-        return {
-            "index": self.index,
-            "detail": self.detail,
-            "source_verdict": self.source_verdict,
-            "target_verdict": self.target_verdict,
-        }
 
 
 @dataclass
@@ -239,13 +233,7 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_machine(self):
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "violations": [v.to_machine() for v in self.violations],
-            "status": self.status,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "status": self.status}
 
 
 def run_cases(name, cases, check):
@@ -295,9 +283,9 @@ def check_reduction(record, pairs, image_check=None):
 
     def check(pair):
         a, b = pair
-        src = record.source.relates(a, b)
+        src = record.source.decide(a, b)
         fa, fb = record.map(a), record.map(b)
-        tgt = record.target.relates(fa, fb)
+        tgt = record.target.decide(fa, fb)
         found = [] if src == tgt else [(f"pair {_describe(a)} | {_describe(b)}", src, tgt)]
         if image_check is not None:
             found += [v for v in (image_check(a, fa), image_check(b, fb)) if v is not None]
@@ -370,7 +358,7 @@ class ChainReport:
                 {
                     "name": link.name,
                     "checked": link.checked,
-                    "violations": [v.to_machine() for v in link.violations],
+                    "violations": [asdict(v) for v in link.violations],
                     "status": link_status(link),
                 }
                 for link in self.links

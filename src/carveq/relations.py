@@ -9,7 +9,7 @@ the closed code algebra.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .atoms import AtomSet, atom_eq, canonical_family
 from .codes import (
@@ -23,23 +23,15 @@ from .codes import (
     range_atoms,
     range_set,
 )
-from .errors import ClauseViolation, DomainViolation, StructuralMismatch
+from .errors import ClauseViolation, StructuralMismatch
 
 
 @dataclass(frozen=True)
 class EqRelHandle:
-    """A named decidable equivalence relation, with an optional domain predicate."""
+    """A named decidable equivalence relation."""
 
     name: str
     decide: Callable
-    member: Optional[Callable] = None
-
-    def relates(self, a, b):
-        if self.member is not None:
-            for v in (a, b):
-                if not self.member(v):
-                    raise DomainViolation(f"{v!r} is outside the domain of {self.name}")
-        return self.decide(a, b)
 
 
 ATOM_EQ = EqRelHandle("eq", atom_eq)
@@ -96,8 +88,7 @@ def rel_G(y, y2):
     return _G_JUMP.decide(y, y2)
 
 
-def g_handle():
-    return EqRelHandle("G", rel_G)
+G_REL = EqRelHandle("G", rel_G)
 
 
 def _word_carve(x, word):
@@ -254,16 +245,3 @@ def rel_E(p, q):
 
 
 E_REL = EqRelHandle("E", rel_E)
-
-
-def restrict_to_fiber(x0):
-    """The relation E restricted to points whose first coordinate enumerates
-    the same set as ``x0``."""
-    from .serialize import to_text
-
-    rng0 = range_atoms(x0)
-
-    def member(p):
-        return isinstance(p, PPoint) and range_atoms(p.x) == rng0
-
-    return EqRelHandle(name=f"E|{to_text(x0)}", decide=rel_E, member=member)

@@ -29,15 +29,7 @@ from carveq.atoms import MAX_TAG_DEPTH
 from carveq.serialize import parse_atom, to_text
 
 from helpers import R1, R2
-
-rationals = st.builds(Rational, st.integers(-50, 50), st.integers(1, 30))
-words = st.builds(WordAtom, st.text(alphabet="01", min_size=1, max_size=8))
-atoms = st.recursive(
-    rationals | words,
-    lambda inner: st.builds(Tag, st.integers(0, 1), inner),
-    max_leaves=4,
-)
-bitstrings = st.text(alphabet="01", min_size=1, max_size=24)
+from strategies import atoms, bitstrings
 
 
 def test_rational_lowest_terms():

@@ -204,6 +204,28 @@ def test_count_rejects_bad_config(capsys):
     assert "cap" in err
 
 
+def test_count_refuses_campaign_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "2", "--seed", "5", "--atom-universe", "9", "--cases", "-4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --seed 5 --atom-universe 9 --cases -4" in err
+
+
+CAMPAIGN_FLAGS = ("--seed", "3", "--cases", "4", "--atom-universe", "3", "--max-period", "4", "--max-entries", "2")
+FLAGGED = FuzzConfig(seed=3, cases=4, atom_universe=3, max_period=4, max_entries=2)
+
+
+def test_verify_and_chain_accept_every_campaign_flag(capsys):
+    code, out, _ = run(capsys, "verify", "star", *CAMPAIGN_FLAGS, "--format", "machine")
+    assert code == 0
+    assert json.loads(out) == campaigns.CAMPAIGNS["star"](FLAGGED).to_machine()
+    code, out, _ = run(capsys, "chain", *CAMPAIGN_FLAGS, "--format", "machine")
+    assert code == 0
+    assert out.strip() == reductions.chain_report(FLAGGED).to_json()
+
+
 def test_remark_needs_two_atoms(capsys):
     code, _, err = run(capsys, "verify", "remark", "--atom-universe", "1")
     assert code == 2

@@ -46,6 +46,7 @@ from helpers import (
     sequence_class,
     word_as_pullback,
 )
+from strategies import MIXED, OUTSIDE, mixed_bases, short_bitstrings
 
 A, B = R1, R2
 Z_AB = ZCode((Cyclic((A,)), Cyclic((A, B))))
@@ -116,7 +117,7 @@ def test_binseq_eq_words():
     assert not binseq_eq(CycW("10"), CycW("01"))
 
 
-@given(st.text(alphabet="01", min_size=1, max_size=10), st.text(alphabet="01", min_size=1, max_size=10))
+@given(short_bitstrings, short_bitstrings)
 def test_binseq_eq_words_matches_lcm_scan(w1, w2):
     import math
 
@@ -282,16 +283,6 @@ def test_pullback_gate_on_pair_merge():
         with pytest.raises(ValueError):
             Pullback(base, bad)
     assert Pullback(base, AtomSet.of(t, w)).aset == AtomSet.of(t, w)
-
-
-# A few atoms of every variant; bases draw from them, sets also from OUTSIDE,
-# which no base contains.
-MIXED = (A, B, Tag(0, A), Tag(1, WordAtom("01")), WordAtom("01"), WordAtom("011"))
-OUTSIDE = Rational(-7, 3)
-mixed_rows = st.lists(st.sampled_from(MIXED), min_size=1, max_size=4).map(lambda es: Cyclic(tuple(es)))
-mixed_bases = mixed_rows | st.lists(mixed_rows, min_size=1, max_size=3).map(
-    lambda rows: PairMerge(ZCode(tuple(rows)))
-)
 
 
 @settings(derandomize=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from carveq import (
@@ -107,6 +109,18 @@ def test_fiber_reduction_domain_and_basepoint_checks():
         record.map(outside)
     with pytest.raises(StructuralMismatch):
         fiber_reduction(PairMerge(ZCode((Cyclic((R1,)),))))
+
+
+def test_fiber_source_and_map_refuse_an_outside_point_alike():
+    x0 = Cyclic((R1, R2))
+    record = fiber_reduction(x0)
+    inside = PPoint(x0, YSeq((CycW("1"),)))
+    outside = PPoint(Cyclic((R1,)), YSeq((CycW("1"),)))
+    with pytest.raises(DomainViolation) as by_source:
+        record.source.decide(inside, outside)
+    with pytest.raises(DomainViolation) as by_map:
+        record.map(outside)
+    assert str(by_source.value) == str(by_map.value)
 
 
 def test_fiber_reduction_star_property():
@@ -292,7 +306,7 @@ def test_run_cases_records_a_raised_error_as_the_cases_violation():
 
     report = run_cases("demo", iter([2, "bad", 3]), check)
     assert report.checked == 3
-    assert [v.to_machine() for v in report.violations] == [
+    assert [dataclasses.asdict(v) for v in report.violations] == [
         {"index": 1, "detail": "StructuralMismatch: refused", "source_verdict": "error", "target_verdict": "error"},
         {"index": 2, "detail": "odd", "source_verdict": 1, "target_verdict": 0},
     ]

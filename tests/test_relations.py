@@ -12,6 +12,7 @@ from carveq import (
     DomainViolation,
     E_REL,
     F_REL,
+    G_REL,
     FuzzConfig,
     PPoint,
     PairMerge,
@@ -23,7 +24,7 @@ from carveq import (
     carve_family,
     carve_pair,
     e_invariant,
-    g_handle,
+    fiber_reduction,
     jump,
     product,
     pullback,
@@ -31,7 +32,6 @@ from carveq import (
     rel_E,
     rel_F,
     rel_G,
-    restrict_to_fiber,
     stream,
 )
 from carveq.generators import (
@@ -419,18 +419,18 @@ def test_clause3_check_agrees_with_naive_scan():
 
 def test_restrict_to_fiber():
     x0 = Cyclic((R1, R2))
-    fiber = restrict_to_fiber(x0)
+    fiber = fiber_reduction(x0).source.decide
     p = PPoint(x0, YSeq((CycW("1"),)))
-    assert fiber.relates(p, p)
+    assert fiber(p, p)
     outside = PPoint(Cyclic((R1,)), YSeq((CycW("1"),)))
     with pytest.raises(DomainViolation):
-        fiber.relates(p, outside)
+        fiber(p, outside)
     for i in range(100):
         rng = stream(61, i)
         base = gen_subset(rng, CFG.universe())
         p1, p2, _ = gen_infiber_pair(rng, CFG, base_atoms=base)
-        fiber_b = restrict_to_fiber(Cyclic(base))
-        assert fiber_b.relates(p1, p2) == rel_E(p1, p2)
+        fiber_b = fiber_reduction(Cyclic(base)).source.decide
+        assert fiber_b(p1, p2) == rel_E(p1, p2)
 
 
 def _equivalence_samples():
@@ -457,7 +457,7 @@ def test_handles_are_equivalence_relations():
     handles = {
         "eq": ATOM_EQ,
         "F": F_REL,
-        "G": g_handle(),
+        "G": G_REL,
         "E": E_REL,
         "jump": jump(ATOM_EQ),
         "jump2": jump(jump(ATOM_EQ)),

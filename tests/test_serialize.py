@@ -32,6 +32,7 @@ from carveq.generators import gen_serial_value
 from carveq.serialize import _TOKEN
 
 from helpers import R1, R2, R3, R4, mutated_texts, option_like_texts, parse_outcome, reference_tokens
+from strategies import SERIAL_KINDS, TOKEN_TEXTS
 
 # strings the printer would never emit, plus canonical ones
 VECTORS = [
@@ -80,6 +81,14 @@ def test_parse_print_identity_on_random_codes():
         rng = stream(31, i)
         value = gen_serial_value(rng, cfg)
         assert parse_any(to_text(value)) == value
+
+
+@pytest.mark.parametrize("kind", sorted(SERIAL_KINDS))
+@settings(derandomize=True)
+@given(data=st.data())
+def test_parse_of_print_is_the_identity_on_every_constructor(kind, data):
+    value = data.draw(SERIAL_KINDS[kind])
+    assert parse_any(to_text(value)) == value
 
 
 def test_whitespace_insensitive():
@@ -138,11 +147,6 @@ def test_parse_errors_carry_positions():
             parse_any(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
-
-
-# ASCII whitespace (including the separators \x1c-\x1f), three Unicode
-# spaces, the non-whitespace U+200B, parentheses and token characters.
-TOKEN_TEXTS = st.text(alphabet="() \t\n\r\x0b\x0c\x1c\x1f\u00a0\u2003\u3000\u200b01ax-", max_size=40)
 
 
 @settings(derandomize=True, max_examples=500)
