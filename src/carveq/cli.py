@@ -10,9 +10,9 @@ Subcommands:
 
 verify and chain take --seed --cases --atom-universe --max-period (default 6)
 --max-entries --format {text,machine}; chain also takes --corrupt LINK.
-count takes --max-period (default --n) and --format.  echo takes only
---help; any other argument is its text.  Exit codes: 0 pass, 1 violation,
-2 usage or configuration error.
+count takes only --n and --format: its table depends on n alone.  echo
+takes only --help; any other argument is its text.  Exit codes: 0 pass,
+1 violation, 2 usage or configuration error.
 """
 
 import argparse
@@ -36,8 +36,6 @@ def build_parser():
 
     pc = sub.add_parser("count", help="brute-force class counts")
     pc.add_argument("--n", type=int, required=True, help="atom universe size")
-    pc.add_argument("--max-period", type=int, default=None, dest="max_period",
-                    help="max cyclic period (default --n)")
 
     pch = sub.add_parser("chain", help="verify the reducibility chain")
     pch.add_argument("--corrupt", default=None, metavar="LINK",
@@ -74,17 +72,17 @@ def _config(args):
     )
 
 
-def _cmd_verify(args):
-    report = CAMPAIGNS[args.target](_config(args))
-    if args.format == "machine":
-        print(json.dumps(report.to_machine(), sort_keys=True))
-    else:
-        print(report.to_text())
-    return 0 if report.status == "pass" else 1
+def _emit(report, fmt, passing):
+    """Print a verify or chain report; exit 0 when its status is ``passing``."""
+    print(json.dumps(report.to_machine(), sort_keys=True) if fmt == "machine" else report.to_text())
+    return 0 if report.status == passing else 1
 
 
 def _cmd_count(args):
-    rows = [dict(zip(ROW_KEYS, count_row(level, args.n, args.max_period))) for level in ("F", "E")]
+    # E's plan refuses every n >= 5 and F's only n >= 7: plan E first, so a
+    # refused count enumerates nothing.
+    e_row = count_row("E", args.n)
+    rows = [dict(zip(ROW_KEYS, row)) for row in (count_row("F", args.n), e_row)]
     if args.format == "machine":
         print(json.dumps({"rows": rows}, sort_keys=True))
     else:
@@ -93,15 +91,6 @@ def _cmd_count(args):
             print(f"{row['level']:<6} {row['n']:<3} {row['count']:<12} "
                   f"{row['closed_form']:<12} {'yes' if row['match'] else 'NO'}")
     return 0
-
-
-def _cmd_chain(args):
-    report = chain_report(_config(args), corrupt=args.corrupt)
-    if args.format == "machine":
-        print(report.to_json())
-    else:
-        print(report.to_text())
-    return 0 if report.status == "counterexample structure verified" else 1
 
 
 def _cmd_echo(args):
@@ -126,11 +115,12 @@ def main(argv=None):
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "verify":
-            return _cmd_verify(args)
+            return _emit(CAMPAIGNS[args.target](_config(args)), args.format, "pass")
+        if args.command == "chain":
+            report = chain_report(_config(args), corrupt=args.corrupt)
+            return _emit(report, args.format, "counterexample structure verified")
         if args.command == "count":
             return _cmd_count(args)
-        if args.command == "chain":
-            return _cmd_chain(args)
         return _cmd_echo(args)
     except (ValueError, ResourceLimit) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -70,23 +70,21 @@ def atom_universe(n):
     return tuple(Rational(i, 1) for i in range(1, n + 1))
 
 
-def _all_cyclic_codes(universe, max_period, budget):
-    for length in range(1, max_period + 1):
-        for combo in itertools.product(universe, repeat=length):
-            budget.spend(length)
-            yield Cyclic(combo)
-
-
-def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
+def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
     """Brute-force class count over the n-atom universe.
 
-    Level F enumerates every cyclic code with period <= max_period and
-    deduplicates by range set.  Level E enumerates validated points and
-    deduplicates by carve family; two documented prunings keep it honest
-    and finite: entry order and multiplicity never change the family (set
-    semantics), so families are enumerated as sets, and the reachable
-    families depend on x only through range(x), so one sorted enumeration
-    per nonempty range suffices.  Per base x, the pullback of each subset is
+    Level F enumerates every cyclic code with period <= n and deduplicates
+    by range set.  Longer periods add no class: a code's range has at most
+    as many atoms as its period, and every nonempty subset S of the
+    universe is the range of its sorted enumeration, a code of period
+    |S| <= n.
+
+    Level E enumerates validated points and deduplicates by carve family;
+    two documented prunings keep it honest and finite: entry order and
+    multiplicity never change the family (set semantics), so families are
+    enumerated as sets, and the reachable families depend on x only
+    through range(x), so one sorted enumeration per nonempty range
+    suffices.  Per base x, the pullback of each subset is
     built once, and families whose subsets do not cover range(x) are pruned
     on bitmasks over x's atoms; every covering family is still built as a
     YSeq of those real pullback codes, validated as a PPoint and
@@ -95,23 +93,22 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
     illustrate growth under the jump rather than prove non-reducibility.
     Raises ResourceLimit, before enumerating, when the step count exceeds
     ``cap``.  A step of F is one entry of a cyclic code, so F takes
-    sum_{k <= max_period} k n^k steps; a step of E is one candidate
-    family, and E takes sum_r C(n, r)(2^(2^r - 1) - 1) of them.
+    sum_{k <= n} k n^k steps; a step of E is one candidate family, and E
+    takes sum_r C(n, r)(2^(2^r - 1) - 1) of them.
     """
     if level not in ("F", "E"):
         raise ValueError(f"unknown level {level!r}")
     if n < 1:
         raise ValueError("universe size must be at least 1")
-    if max_period is None:
-        max_period = n
-    if max_period < n:
-        raise ValueError("max_period must be at least the universe size")
 
     if level == "F":
-        budget = _Budget(cap, (k * n**k for k in range(1, max_period + 1)))
+        budget = _Budget(cap, (k * n**k for k in range(1, n + 1)))
+        universe = atom_universe(n)
         seen = set()
-        for code in _all_cyclic_codes(atom_universe(n), max_period, budget):
-            seen.add(f_invariant(code))
+        for length in range(1, n + 1):
+            for combo in itertools.product(universe, repeat=length):
+                budget.spend(length)
+                seen.add(f_invariant(Cyclic(combo)))
         return len(seen)
 
     budget = _Budget(cap, (math.comb(n, r) * (2 ** (2**r - 1) - 1) for r in range(1, n + 1)))
@@ -143,9 +140,9 @@ def count_classes(level, n, max_period=None, cap=DEFAULT_ENUM_CAP):
 ROW_KEYS = ("level", "n", "count", "closed_form", "match")
 
 
-def count_row(level, n, max_period=None):
-    """One row of a class-count table, (level, n, count, closed form,
-    match), named by ``ROW_KEYS``; ``max_period`` as for count_classes."""
-    count = count_classes(level, n, max_period)
+def count_row(level, n):
+    """One row of a class-count table over the n-atom universe, (level, n,
+    count, closed form, match), named by ``ROW_KEYS``."""
+    count = count_classes(level, n)
     closed = closed_form(level, n)
     return level, n, count, closed, count == closed

@@ -192,14 +192,31 @@ def test_count_tables(capsys):
 
 
 def test_count_rejects_bad_config(capsys):
-    code, _, err = run(capsys, "count", "--n", "3", "--max-period", "2")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "3", "--max-period", "5"])  # the table depends on n alone
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-period 5" in capsys.readouterr().err
+    code, out, err = run(capsys, "count", "--n", "0")
+    assert code == 2 and out == ""
     assert "error" in err
     code, out, err = run(capsys, "count", "--n", "5")
     assert code == 2 and out == ""
     assert "cap" in err
-    # one step per code entry: 1 + 2 + ... + 100000 entries exceed the cap
-    code, out, err = run(capsys, "count", "--n", "1", "--max-period", "100000")
+    # F alone would take 1*7 + 2*7^2 + ... + 7*7^7 entries, past the cap
+    code, out, err = run(capsys, "count", "--n", "7")
+    assert code == 2 and out == ""
+    assert "cap" in err
+
+
+def test_count_refuses_before_enumerating_either_level(monkeypatch, capsys):
+    from carveq import invariants
+
+    def started(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(invariants._Budget, "spend", started)
+    # F's 324,726 steps fit the cap; E's plan at n = 6 does not
+    code, out, err = run(capsys, "count", "--n", "6")
     assert code == 2 and out == ""
     assert "cap" in err
 

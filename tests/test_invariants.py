@@ -223,8 +223,8 @@ def test_count_classes_monotone():
 def test_count_classes_validation_and_cap():
     with pytest.raises(ValueError):
         count_classes("F", 0)
-    with pytest.raises(ValueError):
-        count_classes("F", 3, max_period=2)
+    with pytest.raises(TypeError):
+        count_classes("F", 3, max_period=5)  # periods stop at n: test_longer_periods_add_no_f_class
     with pytest.raises(ValueError):
         count_classes("X", 2)
     with pytest.raises(ResourceLimit):
@@ -242,7 +242,7 @@ def test_count_classes_refuses_before_enumerating(monkeypatch):
     with pytest.raises(ResourceLimit):
         count_classes("E", 5)  # 2,147,648,827 candidate families
     with pytest.raises(ResourceLimit):
-        count_classes("F", 3, max_period=14)  # 1*3 + 2*9 + ... + 14*3^14 entries
+        count_classes("F", 7)  # 1*7 + 2*49 + ... + 7*7^7 entries
     with pytest.raises(ResourceLimit):
         count_classes("F", 10**9)
     # the closed forms are exact: a cap one below the step count refuses
@@ -253,6 +253,23 @@ def test_count_classes_refuses_before_enumerating(monkeypatch):
     monkeypatch.undo()
     assert count_classes("E", 3, cap=151) == 127
     assert count_classes("F", 3, cap=102) == 7
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_longer_periods_add_no_f_class(n):
+    """count_classes("F", n) stops at period n: codes of period up to n + 2
+    have the same range sets, 2^n - 1 of them."""
+    universe = UNIVERSE3[:n]
+
+    def ranges(max_period):
+        return {
+            frozenset(combo)
+            for length in range(1, max_period + 1)
+            for combo in itertools.product(universe, repeat=length)
+        }
+
+    assert ranges(n + 2) == ranges(n)
+    assert len(ranges(n)) == 2**n - 1 == count_classes("F", n)
 
 
 def test_f_invariant_separates_exhaustively():

@@ -1,10 +1,16 @@
-"""The benchmark's tracer binds package names; a rename in the package
-should fail here, fast, rather than in the benchmark's own self-test."""
+"""The benchmark's tracer binds package names, and its self-test requires
+counters that only some routes of the package produce; a rename, or a route
+that stops a required counter, should fail here, fast, rather than in the
+benchmark's own self-test."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+# Metrics that worker.py computes outside layer_metrics.
+WORKER_METRICS = ("trace.verdict_s", "generators.setup_self_s")
 
 
 def _load_tracer():
@@ -24,3 +30,38 @@ def test_tracer_finds_every_boundary():
     finally:
         tracer.uninstall()
     assert tracer_module.changed_bindings(before) == []
+
+
+def _import_perfbench(*names):
+    """Modules of ``perfbench/``, imported with that directory on the path,
+    as its scripts import their siblings."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_smoke_passes_reach_the_layers_selftest_requires():
+    selftest, tracer_module = _import_perfbench("selftest", "tracer")
+    problems = []
+    for name, wl in selftest.WORKLOADS.items():
+        inputs = wl.build(1, "smoke")
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            wl.run(inputs, tracer.call)
+        finally:
+            tracer.uninstall()
+        metrics = tracer_module.layer_metrics(*tracer.totals())
+        problems += [
+            f"{name}: {m} is 0 but the workload exercises it"
+            for m in selftest.EXERCISED[name]
+            if m not in WORKER_METRICS and not metrics[m][0]
+        ]
+        problems += [
+            f"{name}: {m} is {metrics[m][0]} but the workload should not reach it"
+            for m in selftest.UNTOUCHED[name]
+            if m not in WORKER_METRICS and metrics[m][0]
+        ]
+    assert problems == []
