@@ -20,8 +20,6 @@ from .atoms import (
     primitive_root,
 )
 from .codes import (
-    AtomSeqCode,
-    BinSeqCode,
     CycW,
     Cyclic,
     PairMerge,

@@ -11,7 +11,6 @@ Opaque generator functions are rejected at the boundary.
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .atoms import _ATOM_TYPES, AtomSet, CyclicWord, Tag, _kept, primitive_root
 from .pairing import cantor_pair, cantor_unpair
@@ -63,9 +62,6 @@ class PairMerge(_kept("_carves", "_range")):
             raise TypeError("PairMerge wraps a ZCode")
         object.__setattr__(self, "_carves", None)
         object.__setattr__(self, "_range", None)
-
-
-AtomSeqCode = Union[Cyclic, PairMerge]
 
 
 def value_at(x, n):
@@ -162,7 +158,7 @@ class Pullback(_kept("_rep")):
     :func:`binseq_class_rep`, unset until first used.
     """
 
-    base: AtomSeqCode
+    base: PairMerge
     aset: AtomSet
 
     def __post_init__(self):
@@ -174,9 +170,6 @@ class Pullback(_kept("_rep")):
                 "Pullback set must be a proper nonempty subset of the base range; "
                 "use pullback()"
             )
-
-
-BinSeqCode = Union[CycW, Pullback]
 
 
 def pullback(base, aset):

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
-from .atoms import CyclicWord, WordAtom
+from .atoms import WordAtom
 from .codes import (
     CycW,
     Cyclic,
@@ -57,10 +57,10 @@ def fiber_reduction(x0):
     binary-sequence equality.
 
     Output entry n is a word of one x0-period: bit k is y(n) at any witness
-    index k' with x(k') = x0(k).  The least grid cell index of each value
-    of x is its first index (see grid_cells); the fiber condition makes
-    range(x) cover every x0(k), so each has a witness, and clause (3) makes
-    every witness give the same bit.  The fiber holds the points whose x
+    index k' with x(k') = x0(k).  The map takes any grid cell index of each
+    value (see grid_cells): the fiber condition makes range(x) cover every
+    x0(k), so each has a witness, and clause (3) makes every index of a
+    value give the same bit.  The fiber holds the points whose x
     enumerates the same set as x0; the source decision and the map share one
     check of it, which raises DomainViolation outside.
     """
@@ -79,14 +79,11 @@ def fiber_reduction(x0):
 
     def fmap(p):
         check_in_fiber(p)
-        first = {}
-        for kp, a in grid_cells(p.x):
-            if kp < first.get(a, kp + 1):
-                first[a] = kp
-        witnesses = [first[target] for target in x0.entries]
+        index_of = {a: kp for kp, a in grid_cells(p.x)}
+        witnesses = [index_of[target] for target in x0.entries]
         return YSeq(
             tuple(
-                CycW(CyclicWord("".join("1" if binseq_value_at(entry, kp) else "0" for kp in witnesses)))
+                CycW("".join("1" if binseq_value_at(entry, kp) else "0" for kp in witnesses))
                 for entry in p.y.entries
             )
         )

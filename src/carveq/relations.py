@@ -95,17 +95,24 @@ def _word_carve(x, word):
     """Carve of a word over x, with the first clause (3) witness.
 
     Constant words carve everything or nothing over any base and never
-    clash.  Any other word needs a cyclic x and is decided by one scan of
-    positions below lcm(period(x), period(word)): both m -> x(m) and the
-    bit at m are periodic with that modulus, so the scan is exhaustive.
-    The carve is the set of values seen with bit 1.  The witness is
-    (at, pos) for the first position pos whose value was first seen at
-    ``at`` with the other bit, or None when equal values always carry
-    equal bits.
+    clash.  Any other word needs a cyclic x of period P; let L be the
+    word's period and g = gcd(P, L).  Position m reads x at m mod P and the
+    word at m mod L, and these index pairs are exactly the pairs that agree
+    mod g, so the carve (the values seen with bit 1) is the set of x[i]
+    whose index i is congruent mod g to some 1 bit of the word.  The
+    witness is (at, pos) for the first position pos whose value was first
+    seen at ``at`` with the other bit, or None when equal values always
+    carry equal bits.  Both m -> x(m) and the bit at m have period
+    lcm(P, L), so a clash lies below it or nowhere.  If none lies below P,
+    every position below P carries its value's first bit, and the first
+    clash is the first m >= P whose bit differs from the bit at m - P; that
+    test has period L in m, so the clash lies below P + L or nowhere.
 
     The result depends only on x and the word, so x keeps it: the slot
     ``_carves`` of x (not a field, so equality, hashing and the printed
     form ignore it) maps the word's canonical bits to (carve, witness).
+    The branch that computes it has no comprehension: one would give the
+    function cells, whose setup every kept lookup would pay.
     """
     memo = x._carves
     if memo is None:
@@ -118,17 +125,17 @@ def _word_carve(x, word):
         found = (range_set(x) if word.bits == "1" else AtomSet(())), None
     else:
         entries, bits = x.entries, word.bits
-        first_seen = {}
-        ones = set()
-        clash = None
-        for pos in range(math.lcm(len(entries), len(bits))):
-            val = entries[pos % len(entries)]
-            bit = bits[pos % len(bits)]
-            if bit == "1":
-                ones.add(val)
-            at, b0 = first_seen.setdefault(val, (pos, bit))
-            if b0 != bit and clash is None:
+        period, length = len(entries), len(bits)
+        g = math.gcd(period, length)
+        ones, first_seen, clash = set(), {}, None
+        for r in range(g):
+            if "1" in bits[r::g]:
+                ones.update(entries[r::g])
+        for pos in range(min(period * length // g, period + length)):
+            at = first_seen.setdefault(entries[pos % period], pos)
+            if bits[at % length] != bits[pos % length]:
                 clash = (at, pos)
+                break
         found = AtomSet(tuple(ones)), clash
     memo[word.bits] = found
     return found
@@ -168,8 +175,8 @@ def _validate_membership(x, y):
     # Clause (3): equal values of x force equal bits at those positions.
     # Pullback entries satisfy it structurally (the bit is a function of the
     # value) and constant words trivially; a non-constant word entry (over a
-    # cyclic x, by the structural check) is decided by the scan that carves
-    # it, whose kept result still raises.  Clause (2): no carve is empty.
+    # cyclic x, by the structural check) is decided by _word_carve's clash
+    # scan, whose kept result still raises.  Clause (2): no carve is empty.
     carves = []
     clash = empty = None
     for k, entry in enumerate(y.entries):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -294,6 +295,20 @@ def test_echo_errors(capsys):
     code, _, err = run(capsys, "echo", "(p (cyc (rat 1 1) (rat 1 1)) (ylist (cw 10)))")
     assert code == 2
     assert "ClauseViolation" in err
+
+
+def test_echo_of_a_long_coprime_clash_is_fast(capsys):
+    # x has period 3001 (distinct atoms) and the word period 3011, so
+    # lcm(P, L) is about 9 million positions; the clash lies below P + L.
+    atoms = " ".join(f"(rat {i} 1)" for i in range(1, 3002))
+    text = f"(p (cyc {atoms}) (ylist (cw 1) (cw 1{'0' * 3010})))"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "echo", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "invalid code: ClauseViolation: membership clause (3) violated, witness (1, 0, 3001)"
+    )
 
 
 def test_echo_overlong_integer_is_a_parse_error(capsys):

@@ -17,6 +17,7 @@ from carveq import (
     PPoint,
     PairMerge,
     Pullback,
+    Rational,
     StructuralMismatch,
     YSeq,
     ZCode,
@@ -163,13 +164,16 @@ def test_carve_full_pullback():
 
 
 def test_carve_raw_pair_vs_validation():
-    x = Cyclic((R1, R1, R2))
-    entry = CycW("100")
-    assert carve_pair(x, entry) == AtomSet.of(R1)
-    with pytest.raises(ClauseViolation) as err:
-        PPoint(x, YSeq((entry,)))
-    assert err.value.clause == 3
-    assert err.value.witness == (0, 0, 1)
+    # The second pair has no clash below P = 3: the first one is at 3, where
+    # R1 meets bit 0, and with gcd(3, 2) = 1 every value meets a 1 bit.
+    for x, entry, carved, witness in (
+        (Cyclic((R1, R1, R2)), CycW("100"), (R1,), (0, 0, 1)),
+        (Cyclic((R1, R2, R3)), CycW("10"), (R1, R2, R3), (0, 0, 3)),
+    ):
+        assert carve_pair(x, entry) == AtomSet.of(*carved)
+        with pytest.raises(ClauseViolation) as err:
+            PPoint(x, YSeq((entry,)))
+        assert (err.value.clause, err.value.witness) == (3, witness)
 
 
 def test_carve_pair_matches_naive_scan():
@@ -178,6 +182,69 @@ def test_carve_pair_matches_naive_scan():
         x = gen_cyclic(rng, CFG.universe(), CFG.max_period)
         word = CycW("".join("1" if rng.coin() else "0" for _ in range(rng.randint(1, 5))))
         assert set(carve_pair(x, word)) == naive_carve(x, word)
+
+
+EIGHT_ATOMS = tuple(Rational(i, 1) for i in range(1, 9))
+
+
+def _long_period_case(rng, kind, mode):
+    """A cyclic x of period P in 1..40 over 1..8 atoms and the bits of a
+    word whose period L relates to P by ``kind``: L | P, P | L, coprime, or
+    a shared factor with neither dividing (None when no L in 2..40 does).
+    Mode 0 draws both at random.  Modes 1 and 2 give each residue class mod
+    gcd(P, L) a bit, the word that bit at each position and x an atom of
+    that bit at each index, so equal values carry equal bits; mode 2 then
+    flips one bit of the word."""
+    period = rng.randint(1, 40)
+    pool = EIGHT_ATOMS[: rng.randint(1, 8)]
+    kinds = (
+        lambda n: period % n == 0,
+        lambda n: n % period == 0,
+        lambda n: math.gcd(period, n) == 1,
+        lambda n: 1 < math.gcd(period, n) and period % n and n % period,
+    )
+    lengths = [n for n in range(2, 41) if kinds[kind](n)]
+    if not lengths:
+        return None
+    length = rng.choice(lengths)
+    if mode == 0:
+        x = [rng.choice(pool) for _ in range(period)]
+        bits = ["1" if rng.coin() else "0" for _ in range(length)]
+    else:
+        g = math.gcd(period, length)
+        by_bit = {True: pool[::2], False: pool[1::2] or pool}
+        residue_bit = [rng.coin() for _ in range(g)]
+        x = [rng.choice(by_bit[residue_bit[i % g]]) for i in range(period)]
+        bits = ["1" if residue_bit[j % g] else "0" for j in range(length)]
+        if mode == 2:
+            j = rng.randrange(length)
+            bits[j] = "1" if bits[j] == "0" else "0"
+    return Cyclic(tuple(x)), "".join(bits)
+
+
+def test_word_carves_over_long_and_coprime_periods():
+    # Periods up to 40 in every divisibility relation, against the lcm-span
+    # oracles: the outcome with its witness, and the carve, clashing words
+    # included.
+    outcomes = set()
+    for i in range(2000):
+        case = _long_period_case(stream(67, i), i % 4, i // 4 % 3)
+        if case is None:
+            continue
+        x, bits = case
+        word = CycW(bits)
+        y = YSeq((CycW("1"), word))
+        try:
+            got = tuple(frozenset(aset) for aset in PPoint(x, y).carves)
+        except ClauseViolation as err:
+            got = (ClauseViolation, err.clause, err.witness)
+        assert got == reference_membership(x, y), (x, bits)
+        assert set(carve_pair(x, word)) == naive_carve(x, word), (x, bits)
+        if isinstance(got[0], frozenset):
+            outcomes.add("valid")
+        elif got[1] == 3:
+            outcomes.add("clash below P" if got[2][2] < len(x.entries) else "clash past P")
+    assert outcomes == {"valid", "clash below P", "clash past P"}
 
 
 def test_carve_pair_structural_mismatch():
