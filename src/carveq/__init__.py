@@ -8,7 +8,6 @@ and a seeded property harness with a CLI front end.
 """
 
 from .atoms import (
-    Atom,
     AtomSet,
     CyclicWord,
     Rational,

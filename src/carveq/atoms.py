@@ -8,7 +8,6 @@ injectively with a bit), and word atoms wrapping a canonical cyclic word.
 
 import math
 from dataclasses import dataclass, fields
-from typing import Union
 
 # Deepest Tag nesting that the constructor and the parser accept: parsing,
 # printing, ordering and hashing recurse once per level, so deeper atoms
@@ -97,7 +96,7 @@ class Rational(_kept("_hash")):
 @dataclass(frozen=True, slots=True)
 class Tag(_kept("_hash")):
     bit: int
-    inner: "Atom"
+    inner: "Rational | Tag | WordAtom"
     __hash__ = _kept_hash
 
     def __post_init__(self):
@@ -123,8 +122,6 @@ class WordAtom(_kept("_hash")):
             raise TypeError("WordAtom wraps a CyclicWord")
         object.__setattr__(self, "_hash", hash((self.word,)))
 
-
-Atom = Union[Rational, Tag, WordAtom]
 
 _ATOM_TYPES = (Rational, Tag, WordAtom)
 

@@ -8,8 +8,8 @@ Subcommands:
     echo [TEXT]       parse a serialized code (argument or stdin) and print
                       its canonical form
 
-verify and chain take --seed --cases --atom-universe --max-period (default 6)
---max-entries --format {text,machine}; chain also takes --corrupt LINK.
+verify and chain take one campaign flag per FuzzConfig field and --format
+{text,machine}; chain also takes --corrupt LINK.
 count takes only --n and --format: its table depends on n alone.  echo
 takes only --help; any other argument is its text.  Exit codes: 0 pass,
 1 violation, 2 usage or configuration error.
@@ -18,6 +18,7 @@ takes only --help; any other argument is its text.  Exit codes: 0 pass,
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .campaigns import CAMPAIGNS
 from .errors import CarveqError, ParseError, ResourceLimit
@@ -42,14 +43,9 @@ def build_parser():
                      help="deliberately corrupt a link map (test hook)")
 
     for campaign in (pv, pch):
-        campaign.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-        campaign.add_argument("--cases", type=int, default=1000, help="cases per campaign (default 1000)")
-        campaign.add_argument("--atom-universe", type=int, default=4, dest="atom_universe",
-                              help="number of distinct atoms drawn from (default 4)")
-        campaign.add_argument("--max-period", type=int, default=6, dest="max_period",
-                              help="max cyclic period (default 6)")
-        campaign.add_argument("--max-entries", type=int, default=5, dest="max_entries",
-                              help="max entries per sequence (default 5)")
+        for f in fields(FuzzConfig):
+            campaign.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default,
+                                  help=f"{f.metadata['help']} (default {f.default})")
     for report in (pv, pc, pch):
         report.add_argument("--format", choices=("text", "machine"), default="text",
                             help="report format (default text)")
@@ -63,13 +59,7 @@ def build_parser():
 
 
 def _config(args):
-    return FuzzConfig(
-        seed=args.seed,
-        cases=args.cases,
-        atom_universe=args.atom_universe,
-        max_period=args.max_period,
-        max_entries=args.max_entries,
-    )
+    return FuzzConfig(**{f.name: getattr(args, f.name) for f in fields(FuzzConfig)})
 
 
 def _emit(report, fmt, passing):

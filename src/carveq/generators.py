@@ -5,7 +5,7 @@ All randomness flows from SplitMix64 with per-case substreams derived from
 independent of execution order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .atoms import AtomSet, CyclicWord, Rational, Tag, WordAtom
 from .codes import CycW, Cyclic, PairMerge, YSeq, ZCode, pullback, range_set
@@ -58,23 +58,33 @@ def stream(seed, index):
     return SplitMix64(SplitMix64((seed ^ (index * _GOLDEN)) & _MASK64).next_u64())
 
 
+# Largest atom_universe, max_period and max_entries a campaign accepts.  A
+# case's time and memory grow faster than the product of the three: with
+# all three at 1000 one claim case ran past 40 s and interleave reached
+# 174 MB, and at 10**8 the universe alone is 10**8 atoms.  With all three
+# at this bound every target and chain take at most 0.2 s and 18 MB per
+# case (20 cases each, 2-core VM); the tests, README and benchmark use at
+# most 9.
+MAX_SIZE = 100
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Campaign knobs.  Defaults: seed=0, cases=1000, atom_universe=4,
-    max_period=6, max_entries=5."""
+    """Campaign knobs.  Each field's ``help`` metadata is its command-line
+    help; the CLI adds one flag per field."""
 
-    seed: int = 0
-    cases: int = 1000
-    atom_universe: int = 4
-    max_period: int = 6
-    max_entries: int = 5
+    seed: int = field(default=0, metadata={"help": "campaign seed"})
+    cases: int = field(default=1000, metadata={"help": "cases per campaign"})
+    atom_universe: int = field(default=4, metadata={"help": "number of distinct atoms drawn from"})
+    max_period: int = field(default=6, metadata={"help": "max cyclic period"})
+    max_entries: int = field(default=5, metadata={"help": "max entries per sequence"})
 
     def __post_init__(self):
         if self.cases < 0:
             raise ValueError("cases must be nonnegative")
-        for field in ("atom_universe", "max_period", "max_entries"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be positive")
+        for name in ("atom_universe", "max_period", "max_entries"):
+            if not 1 <= getattr(self, name) <= MAX_SIZE:
+                raise ValueError(f"{name} must be between 1 and {MAX_SIZE}")
 
     def universe(self):
         return atom_universe(self.atom_universe)

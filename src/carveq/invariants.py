@@ -2,7 +2,8 @@
 brute-force class counting over finite atom universes."""
 
 import itertools
-import math
+from functools import cache, reduce
+from operator import or_
 
 from .atoms import AtomSet, Rational, canonical_family
 from .codes import Cyclic, YSeq, binseq_class_rep, pullback, range_set
@@ -65,8 +66,10 @@ class _Budget:
             raise ResourceLimit(f"enumeration exceeded the cap of {self.cap}")
 
 
+@cache
 def atom_universe(n):
-    """The fixed n-atom universe used for counting: small positive rationals."""
+    """The fixed n-atom universe used for counting: small positive rationals.
+    Built once per n; atoms are immutable, so every caller shares it."""
     return tuple(Rational(i, 1) for i in range(1, n + 1))
 
 
@@ -79,22 +82,21 @@ def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
     universe is the range of its sorted enumeration, a code of period
     |S| <= n.
 
-    Level E enumerates validated points and deduplicates by carve family;
-    two documented prunings keep it honest and finite: entry order and
-    multiplicity never change the family (set semantics), so families are
-    enumerated as sets, and the reachable families depend on x only
-    through range(x), so one sorted enumeration per nonempty range
-    suffices.  Per base x, the pullback of each subset is
-    built once, and families whose subsets do not cover range(x) are pruned
-    on bitmasks over x's atoms; every covering family is still built as a
-    YSeq of those real pullback codes, validated as a PPoint and
-    deduplicated by e_invariant.  The universe is fixed: maps that mint
+    Level E enumerates each nonempty family of nonempty subsets of the
+    universe once, as a set, since entry order and multiplicity never
+    change the carve family.  It validates one point per family: x is the
+    sorted enumeration of the family's union, and y lists the pullbacks of
+    the members over x.  The reachable families depend on x only through
+    range(x), so one x per range suffices; x and the pullbacks of its
+    subsets are built once per union.  Each point is validated as a PPoint
+    and deduplicated by e_invariant.  The universe is fixed: maps that mint
     fresh atoms (tagging, word atoms) fall outside these counts, which
     illustrate growth under the jump rather than prove non-reducibility.
     Raises ResourceLimit, before enumerating, when the step count exceeds
     ``cap``.  A step of F is one entry of a cyclic code, so F takes
-    sum_{k <= n} k n^k steps; a step of E is one candidate family, and E
-    takes sum_r C(n, r)(2^(2^r - 1) - 1) of them.
+    sum_{k <= n} k n^k steps; a step of E is one family, so E takes
+    closed_form("E", n) steps, planned r = 1 .. n as the families whose
+    union has r as its largest atom.
     """
     if level not in ("F", "E"):
         raise ValueError(f"unknown level {level!r}")
@@ -111,29 +113,24 @@ def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
                 seen.add(f_invariant(Cyclic(combo)))
         return len(seen)
 
-    budget = _Budget(cap, (math.comb(n, r) * (2 ** (2**r - 1) - 1) for r in range(1, n + 1)))
+    budget = _Budget(cap, (closed_form("E", r) - closed_form("E", r - 1) for r in range(1, n + 1)))
     universe = atom_universe(n)
+
+    def atoms(mask):
+        return tuple(a for i, a in enumerate(universe) if mask >> i & 1)
+
+    subsets = range(1, 2**n)  # as bitmasks over the universe
+    bases = {}  # union -> (x, {subset of the union: its pullback over x})
     seen = set()
-    for r in range(1, n + 1):
-        for base_atoms in itertools.combinations(universe, r):
-            x = Cyclic(base_atoms)
-            subsets = range(1, 2**r)  # as bitmasks over base_atoms
-            codes = [
-                pullback(x, AtomSet(tuple(a for i, a in enumerate(base_atoms) if s >> i & 1)))
-                for s in subsets
-            ]
-            full = 2**r - 1
-            # covers[f]: union of the subsets in family f (a bitmask over
-            # subsets); f without its lowest subset is a smaller family.
-            covers = [0] * 2 ** len(subsets)
-            for family in range(1, len(covers)):
-                budget.spend()
-                low = (family & -family).bit_length() - 1
-                covers[family] = covers[family & (family - 1)] | subsets[low]
-                if covers[family] != full:
-                    continue
-                y = YSeq(tuple(codes[i] for i in range(len(codes)) if family >> i & 1))
-                seen.add(e_invariant(PPoint(x, y)))
+    for size in range(1, len(subsets) + 1):
+        for family in itertools.combinations(subsets, size):
+            budget.spend()
+            union = reduce(or_, family)
+            if union not in bases:
+                x = Cyclic(atoms(union))
+                bases[union] = x, {s: pullback(x, AtomSet(atoms(s))) for s in subsets if s & union == s}
+            x, codes = bases[union]
+            seen.add(e_invariant(PPoint(x, YSeq(tuple(codes[s] for s in family)))))
     return len(seen)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from carveq import FuzzConfig, StructuralMismatch, campaigns, fs2_invariant, parse_any, reductions, rel_G, stream, to_text
 from carveq.cli import main
+from carveq.generators import MAX_SIZE
 
 from helpers import mutated_texts, option_like_texts
 
@@ -242,6 +243,25 @@ def test_verify_and_chain_accept_every_campaign_flag(capsys):
     code, out, _ = run(capsys, "chain", *CAMPAIGN_FLAGS, "--format", "machine")
     assert code == 0
     assert out.strip() == reductions.chain_report(FLAGGED).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", "constjump", "--atom-universe", "100000000"),
+        ("verify", "star", "--max-period", "1000000000"),
+        ("chain", "--max-entries", "1001"),
+    ),
+)
+def test_campaign_sizes_stop_at_max_size(capsys, argv):
+    *command, flag, huge = argv
+    refused = (2, "", f"error: {flag[2:].replace('-', '_')} must be between 1 and {MAX_SIZE}\n")
+    for value in (huge, str(MAX_SIZE + 1)):
+        start = time.perf_counter()
+        assert run(capsys, *command, flag, value) == refused
+        assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "verify", "gtof", flag, str(MAX_SIZE), "--cases", "1")
+    assert code == 0 and out
 
 
 def test_remark_needs_two_atoms(capsys):

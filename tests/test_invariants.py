@@ -213,6 +213,22 @@ def test_count_classes_e_goes_through_real_points(monkeypatch):
     assert calls["point"] == 127
 
 
+@pytest.mark.parametrize("n, families", ((1, 1), (2, 7), (3, 127)))
+def test_count_classes_e_spends_one_step_per_family(monkeypatch, n, families):
+    from carveq import invariants
+
+    steps = []
+    spend = invariants._Budget.spend
+
+    def counted(budget, amount=1):
+        steps.append(amount)
+        return spend(budget, amount)
+
+    monkeypatch.setattr(invariants._Budget, "spend", counted)
+    assert count_classes("E", n) == closed_form("E", n) == families
+    assert len(steps) == sum(steps) == families
+
+
 def test_count_classes_monotone():
     f_counts = [count_classes("F", n) for n in (1, 2, 3, 4)]
     assert f_counts == sorted(f_counts)
@@ -240,18 +256,18 @@ def test_count_classes_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(invariants._Budget, "spend", started)
     monkeypatch.setattr(invariants, "atom_universe", started)
     with pytest.raises(ResourceLimit):
-        count_classes("E", 5)  # 2,147,648,827 candidate families
+        count_classes("E", 5)  # 2,147,483,647 families
     with pytest.raises(ResourceLimit):
         count_classes("F", 7)  # 1*7 + 2*49 + ... + 7*7^7 entries
     with pytest.raises(ResourceLimit):
         count_classes("F", 10**9)
     # the closed forms are exact: a cap one below the step count refuses
     with pytest.raises(ResourceLimit):
-        count_classes("E", 3, cap=150)
+        count_classes("E", 3, cap=126)
     with pytest.raises(ResourceLimit):
         count_classes("F", 3, cap=101)  # 3 + 18 + 81 entries
     monkeypatch.undo()
-    assert count_classes("E", 3, cap=151) == 127
+    assert count_classes("E", 3, cap=127) == 127
     assert count_classes("F", 3, cap=102) == 7
 
 
