@@ -12,11 +12,13 @@ verify and chain take one campaign flag per FuzzConfig field and --format
 {text,machine}; chain also takes --corrupt LINK.
 count takes only --n and --format: its table depends on n alone.  echo
 takes only --help; any other argument is its text.  Exit codes: 0 pass,
-1 violation, 2 usage or configuration error.
+1 violation, 2 usage or configuration error, whether or not stdout's reader
+reads to the end.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -62,9 +64,20 @@ def _config(args):
     return FuzzConfig(**{f.name: getattr(args, f.name) for f in fields(FuzzConfig)})
 
 
+def _print(text):
+    """Write ``text`` and a newline to stdout, the only route for stdout.
+    If the reader has gone away, stdout is pointed at os.devnull, so neither
+    this write nor the flush at exit raises and the exit code stays the
+    verdict's."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report, fmt, passing):
     """Print a verify or chain report; exit 0 when its status is ``passing``."""
-    print(json.dumps(report.to_machine(), sort_keys=True) if fmt == "machine" else report.to_text())
+    _print(json.dumps(report.to_machine(), sort_keys=True) if fmt == "machine" else report.to_text())
     return 0 if report.status == passing else 1
 
 
@@ -74,19 +87,19 @@ def _cmd_count(args):
     e_row = count_row("E", args.n)
     rows = [dict(zip(ROW_KEYS, row)) for row in (count_row("F", args.n), e_row)]
     if args.format == "machine":
-        print(json.dumps({"rows": rows}, sort_keys=True))
+        _print(json.dumps({"rows": rows}, sort_keys=True))
     else:
-        print(f"{'level':<6} {'n':<3} {'count':<12} {'closed-form':<12} match")
-        for row in rows:
-            print(f"{row['level']:<6} {row['n']:<3} {row['count']:<12} "
-                  f"{row['closed_form']:<12} {'yes' if row['match'] else 'NO'}")
+        lines = [f"{'level':<6} {'n':<3} {'count':<12} {'closed-form':<12} match"]
+        lines += (f"{row['level']:<6} {row['n']:<3} {row['count']:<12} "
+                  f"{row['closed_form']:<12} {'yes' if row['match'] else 'NO'}" for row in rows)
+        _print("\n".join(lines))
     return 0
 
 
 def _cmd_echo(args):
     text = args.text if args.text is not None else sys.stdin.read()
     try:
-        print(to_text(parse_any(text)))
+        _print(to_text(parse_any(text)))
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -90,17 +90,18 @@ class _Parser:
             self.fail(f"expected {tok!r}, found {found!r}")
         self.pos += 1
 
-    def head(self):
-        """Consume '(' and return the keyword after it (not consumed)."""
+    def open(self, keywords, mismatch=None):
+        """Consume '(' and the keyword after it, and return the keyword.  A
+        keyword not in ``keywords`` raises ``mismatch`` and its repr at it;
+        ``mismatch`` defaults to ``expected <the one keyword>, found ``."""
         self.expect("(")
         kw = self.tokens[self.pos]
-        if kw in "()":
-            self.fail("expected a keyword after '('")
+        if kw not in keywords:
+            if kw in "()":
+                self.fail("expected a keyword after '('")
+            self.error((mismatch or f"expected {keywords[0]!r}, found ") + repr(kw))
+        self.pos += 1
         return kw
-
-    def done(self):
-        if self.tokens[self.pos]:
-            self.error("trailing input after complete form")
 
     def token(self, pattern, noun):
         """Consume and return a token that ``pattern`` matches in full, or
@@ -125,38 +126,29 @@ class _Parser:
         return value
 
     def atom(self, depth=0):
-        kw = self.head()
-        self.pos += 1
+        kw = self.open(("rat", "tag", "word"), "expected an atom keyword, found ")
         if kw == "rat":
             num = self.integer(_INT, "an integer")
             den = self.integer(_POSINT, "a positive integer")
             if den == 0:
                 self.pos -= 1
                 self.error(f"expected a positive integer, found {self.tokens[self.pos]!r}")
-            self.expect(")")
-            return Rational(num, den)
-        if kw == "tag":
+            value = Rational(num, den)
+        elif kw == "tag":
             bit = int(self.token(_BIT, "a bit"))
             if depth == MAX_TAG_DEPTH:
                 self.error(f"tags nested deeper than {MAX_TAG_DEPTH}")
-            inner = self.atom(depth + 1)
-            self.expect(")")
-            return Tag(bit, inner)
-        if kw == "word":
-            bits = self.token(_BITS, "a 0/1 string")
-            self.expect(")")
-            return WordAtom(bits)
-        self.pos -= 1
-        self.error(f"expected an atom keyword, found {kw!r}")
+            value = Tag(bit, self.atom(depth + 1))
+        else:
+            value = WordAtom(self.token(_BITS, "a 0/1 string"))
+        self.expect(")")
+        return value
 
-    def _items(self, kw, item, noun):
-        """Parse ``( kw item* )`` and return the items as a tuple.  An empty
-        list is an error naming ``noun``, unless ``noun`` is None.  At the
-        sentinel the next item fails in :meth:`head`."""
-        found = self.head()
-        if found != kw:
-            self.error(f"expected {kw!r}, found {found!r}")
-        self.pos += 1
+    def rest(self, kw, item, noun):
+        """Parse the items after keyword ``kw`` up to and including ')' and
+        return them as a tuple.  An empty list is an error naming ``noun``,
+        unless ``noun`` is None.  At the sentinel the next item fails in
+        :meth:`open`."""
         items = []
         while self.tokens[self.pos] != ")":
             items.append(item())
@@ -165,8 +157,13 @@ class _Parser:
         self.pos += 1
         return tuple(items)
 
-    def _cyc(self):
-        return Cyclic(self._items("cyc", self.atom, "atom"))
+    def listed(self, kw, item, noun):
+        """Parse ``( kw item* )`` as :meth:`rest` does."""
+        self.open((kw,))
+        return self.rest(kw, item, noun)
+
+    def row(self):
+        return Cyclic(self.listed("cyc", self.atom, "atom"))
 
     def aseq(self):
         """Parse an atom-sequence, or skip a repeat of the tokens of the
@@ -178,58 +175,40 @@ class _Parser:
         if span is not None and self.tokens[start:start + len(span)] == span:
             self.pos += len(span)
             return self.last_aseq
-        kw = self.head()
-        if kw == "cyc":
-            self.pos -= 1
-            value = self._cyc()
-        elif kw == "pairmerge":
-            self.pos += 1
-            z = self.zcode()
-            self.expect(")")
-            value = PairMerge(z)
+        if self.open(("cyc", "pairmerge"), "expected an atom-sequence keyword, found ") == "cyc":
+            value = Cyclic(self.rest("cyc", self.atom, "atom"))
         else:
-            self.error(f"expected an atom-sequence keyword, found {kw!r}")
+            value = PairMerge(self.zcode())
+            self.expect(")")
         self.last_span, self.last_aseq = self.tokens[start:self.pos], value
         return value
 
     def binseq(self):
-        kw = self.head()
-        if kw == "cw":
-            self.pos += 1
-            bits = self.token(_BITS, "a 0/1 string")
-            self.expect(")")
-            return CycW(bits)
-        if kw == "pull":
-            self.pos += 1
-            base = self.aseq()
-            atoms = self._items("set", self.atom, None)
-            self.expect(")")
-            return pullback(base, AtomSet(atoms))
-        self.error(f"expected a binary-sequence keyword, found {kw!r}")
+        if self.open(("cw", "pull"), "expected a binary-sequence keyword, found ") == "cw":
+            value = CycW(self.token(_BITS, "a 0/1 string"))
+        else:
+            value = pullback(self.aseq(), AtomSet(self.listed("set", self.atom, None)))
+        self.expect(")")
+        return value
 
     def yseq(self):
-        return YSeq(self._items("ylist", self.binseq, "entry"))
+        return YSeq(self.listed("ylist", self.binseq, "entry"))
 
     def zcode(self):
-        return ZCode(self._items("zlist", self._cyc, "row"))
+        return ZCode(self.listed("zlist", self.row, "row"))
 
     def ppoint(self):
-        kw = self.head()
-        if kw != "p":
-            self.error(f"expected 'p', found {kw!r}")
-        self.pos += 1
-        x = self.aseq()
-        y = self.yseq()
+        self.open(("p",))
+        x, y = self.aseq(), self.yseq()
         self.expect(")")
         return PPoint(x, y)
 
     def any(self):
-        kw = self.head()
-        form = _FORMS.get(kw)
-        if form is None:
-            self.error(f"unknown form keyword {kw!r}")
-        self.pos -= 1
-        return form(self)
+        """Open the form, then step back over its '(' and keyword and hand
+        it to the method that parses its kind."""
+        kw = self.open(_FORMS, "unknown form keyword ")
+        self.pos -= 2
+        return _FORMS[kw](self)
 
 
 # The form each leading keyword starts, for parse_any.
@@ -244,7 +223,8 @@ _FORMS = {
 def _run(text, method):
     p = _Parser(text)
     value = method(p)
-    p.done()
+    if p.tokens[p.pos]:
+        p.error("trailing input after complete form")
     return value
 
 

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -395,6 +399,31 @@ def test_echo_rejects_deep_tags(capsys):
     code, out, err = run(capsys, "echo", nested(3000))
     assert code == 2 and out == ""
     assert "parse error" in err and "nested deeper" in err
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("verify", "gtof", "--cases", "20"), 0, ""),
+    (("verify", "claim", "--cases", "20", "--format", "machine"), 0, ""),
+    (("chain", "--cases", "20"), 0, ""),
+    (("chain", "--cases", "20", "--corrupt", "fxf_to_f"), 1, ""),
+    (("count", "--n", "2"), 0, ""),
+    (("count", "--n", "2", "--format", "machine"), 0, ""),
+    (("echo", "(cw 1010)"), 0, ""),
+    (("echo", "(cw 2)"), 2, "parse error: expected a 0/1 string, found '2' (at position 4)\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
+def test_exit_code_survives_a_closed_stdout(argv, code, err):
+    # The read end is closed before the child starts, so its first write to
+    # stdout meets a broken pipe every time.  stderr holds what it holds
+    # when stdout is read: no traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "carveq", *argv], stdin=subprocess.DEVNULL,
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr.decode()) == (code, err)
 
 
 def test_echo_reads_stdin(capsys, monkeypatch):

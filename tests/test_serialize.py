@@ -28,6 +28,7 @@ from carveq import (
     stream,
     to_text,
 )
+from carveq.atoms import MAX_TAG_DEPTH
 from carveq.generators import gen_serial_value
 from carveq.serialize import _TOKEN
 
@@ -63,6 +64,8 @@ def test_known_canonicalizations():
     assert to_text(parse_any("(cw 1010)")) == "(cw 10)"
     assert to_text(parse_any("(cyc (rat 1 2))")) == "(cyc (rat 1 2))"
     assert to_text(parse_any("(rat 2 4)")) == "(rat 1 2)"
+    # U+0661 and U+0662 are the Arabic-Indic digits one and two.
+    assert to_text(parse_any("(rat \u0661 \u0662)")) == "(rat 1 2)"
     assert to_text(parse_any("(word 0101)")) == "(word 01)"
     # pullback over a cyclic base normalizes to a word
     assert to_text(parse_any("(pull (cyc (rat 1 1) (rat 2 1)) (set (rat 1 1)))")) == "(cw 10)"
@@ -115,36 +118,44 @@ def test_overlong_integer_is_a_parse_error():
 
 
 def test_parse_errors_carry_positions():
-    with pytest.raises(ParseError) as err:
-        parse_any("(cw )")
-    assert err.value.position == 4
-
-    with pytest.raises(ParseError):
-        parse_any("(cw 10")
-    with pytest.raises(ParseError):
-        parse_any("(unknown 1)")
-    with pytest.raises(ParseError):
-        parse_any("(rat 1 0)")
-    with pytest.raises(ParseError):
-        parse_any("(rat x 1)")
-    with pytest.raises(ParseError) as err:
-        parse_any("(cw 10) junk")
-    assert err.value.position == 8
-    with pytest.raises(ParseError):
-        parse_any("")
-
-    for text, message, position in [
-        ("(cyc)", "cyc needs at least one atom", 4),
-        ("(ylist)", "ylist needs at least one entry", 6),
-        ("(zlist)", "zlist needs at least one row", 6),
-        ("(zlist (cw 1))", "expected 'cyc', found 'cw'", 8),
-        ("(p (cyc (rat 1 1)) (zlist (cyc (rat 1 1))))", "expected 'ylist', found 'zlist'", 20),
+    deep = "(tag 0 " * (MAX_TAG_DEPTH + 1) + "(rat 1 1)" + ")" * (MAX_TAG_DEPTH + 1)
+    for entry, text, message, position in [
+        (parse_any, "", "unexpected end of input", 0),
+        (parse_any, "(cw 1", "unexpected end of input", 5),
+        (parse_any, "(cw 10", "unexpected end of input", 6),
+        (parse_any, "cw 1)", "expected '(', found 'cw'", 0),
+        (parse_any, "(cw 10 1)", "expected ')', found '1'", 7),
+        (parse_any, "(cw 10) junk", "trailing input after complete form", 8),
+        (parse_any, "()", "expected a keyword after '('", 1),
+        (parse_any, "(unknown 1)", "unknown form keyword 'unknown'", 1),
+        (parse_any, "(cw )", "expected a 0/1 string, found ')'", 4),
+        (parse_any, "(rat x 1)", "expected an integer, found 'x'", 5),
+        (parse_any, "(rat 1 -2)", "expected a positive integer, found '-2'", 7),
+        (parse_any, "(rat 1 0)", "expected a positive integer, found '0'", 7),
+        # U+0660 is a decimal digit, so it reads as an integer, here zero.
+        (parse_any, "(rat 1 \u0660)", "expected a positive integer, found '\u0660'", 7),
+        (parse_any, "(tag 2 (rat 1 1))", "expected a bit, found '2'", 5),
+        (parse_any, deep, f"tags nested deeper than {MAX_TAG_DEPTH}", 7 * (MAX_TAG_DEPTH + 1)),
+        (parse_any, "(word 012)", "expected a 0/1 string, found '012'", 6),
+        (parse_any, "(cyc (cw 1))", "expected an atom keyword, found 'cw'", 6),
+        (parse_any, "(pull (rat 1 1) (set))", "expected an atom-sequence keyword, found 'rat'", 7),
+        (parse_any, "(ylist (cyc (rat 1 1)))", "expected a binary-sequence keyword, found 'cyc'", 8),
+        (parse_any, "(pull (cyc (rat 1 1)) (zlist))", "expected 'set', found 'zlist'", 23),
+        (parse_any, "(cyc)", "cyc needs at least one atom", 4),
+        (parse_any, "(ylist)", "ylist needs at least one entry", 6),
+        (parse_any, "(zlist)", "zlist needs at least one row", 6),
+        (parse_any, "(zlist (cw 1))", "expected 'cyc', found 'cw'", 8),
+        (parse_any, "(p (cyc (rat 1 1)) (zlist (cyc (rat 1 1))))", "expected 'ylist', found 'zlist'", 20),
         # U+3000 is whitespace; U+200B is not, so it joins the keyword.
-        ("(cw\u300010)\u3000junk", "trailing input after complete form", 8),
-        ("(cw\u200b 10)", "unknown form keyword 'cw\\u200b'", 1),
+        (parse_any, "(cw\u300010)\u3000junk", "trailing input after complete form", 8),
+        (parse_any, "(cw\u200b 10)", "unknown form keyword 'cw\\u200b'", 1),
+        (parse_ppoint, "(cw 1)", "expected 'p', found 'cw'", 1),
+        (parse_atom, "(cw 1)", "expected an atom keyword, found 'cw'", 1),
+        (parse_aseq, "(rat 1 1)", "expected an atom-sequence keyword, found 'rat'", 1),
+        (parse_binseq, "(cyc (rat 1 1))", "expected a binary-sequence keyword, found 'cyc'", 1),
     ]:
         with pytest.raises(ParseError) as err:
-            parse_any(text)
+            entry(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
 
