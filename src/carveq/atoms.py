@@ -58,7 +58,9 @@ class CyclicWord:
     bits: str
 
     def __post_init__(self):
-        if not self.bits or any(c not in "01" for c in self.bits):
+        if not isinstance(self.bits, str):
+            raise TypeError(f"bits must be a str, got {type(self.bits).__name__}")
+        if not self.bits or self.bits.strip("01"):
             raise ValueError(f"bits must be a nonempty 0/1 string, got {self.bits!r}")
         object.__setattr__(self, "bits", primitive_root(self.bits))
 

@@ -12,8 +12,8 @@ verify and chain take one campaign flag per FuzzConfig field and --format
 {text,machine}; chain also takes --corrupt LINK.
 count takes only --n and --format: its table depends on n alone.  echo
 takes only --help; any other argument is its text.  Exit codes: 0 pass,
-1 violation, 2 usage or configuration error, whether or not stdout's reader
-reads to the end.
+1 violation, 2 usage or configuration error, whether or not the readers of
+stdout and stderr read to the end.
 """
 
 import argparse
@@ -64,15 +64,16 @@ def _config(args):
     return FuzzConfig(**{f.name: getattr(args, f.name) for f in fields(FuzzConfig)})
 
 
-def _print(text):
-    """Write ``text`` and a newline to stdout, the only route for stdout.
-    If the reader has gone away, stdout is pointed at os.devnull, so neither
-    this write nor the flush at exit raises and the exit code stays the
-    verdict's."""
+def _print(text, stream=None):
+    """Write ``text`` and a newline to ``stream`` (stdout by default), the
+    only route for stdout and stderr.  If the reader has gone away, the
+    stream is pointed at os.devnull, so neither this write nor the flush at
+    exit raises and the exit code stays the verdict's."""
+    stream = stream or sys.stdout
     try:
-        print(text, flush=True)
+        print(text, file=stream, flush=True)
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _emit(report, fmt, passing):
@@ -101,10 +102,10 @@ def _cmd_echo(args):
     try:
         _print(to_text(parse_any(text)))
     except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
+        _print(f"parse error: {err}", sys.stderr)
         return 2
     except CarveqError as err:
-        print(f"invalid code: {type(err).__name__}: {err}", file=sys.stderr)
+        _print(f"invalid code: {type(err).__name__}: {err}", sys.stderr)
         return 2
     return 0
 
@@ -126,7 +127,7 @@ def main(argv=None):
             return _cmd_count(args)
         return _cmd_echo(args)
     except (ValueError, ResourceLimit) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _print(f"error: {err}", sys.stderr)
         return 2
 
 

@@ -18,7 +18,8 @@ words, normalized pullbacks); the parser builds values through the normal
 constructors, so print . parse is idempotent and parse . print is the
 identity on canonical values.  A repeated atom-sequence text, such as a
 point's base inside each pullback entry, is parsed once per text, and the
-entries share its value and what its slots keep.
+entries share its value and what its slots keep.  So is a repeated rational
+text: its occurrences in one text share one ``Rational``.
 """
 
 import re
@@ -38,41 +39,55 @@ _BITS = re.compile(r"[01]+")
 
 
 def to_text(value):
-    """Serialize any value of the algebra: one dispatch on its type, applied
-    again to each of its parts."""
+    """Serialize any value of the algebra."""
+    return _to_text(value)
+
+
+def _to_text(value):
+    """One dispatch on the type of ``value``, applied again to each of its
+    parts; the recursion stays here, so one :func:`to_text` call is one
+    call through the public name."""
     if isinstance(value, Rational):
         return f"(rat {value.num} {value.den})"
     if isinstance(value, Tag):
-        return f"(tag {value.bit} {to_text(value.inner)})"
+        return f"(tag {value.bit} {_to_text(value.inner)})"
     if isinstance(value, WordAtom):
         return f"(word {value.word.bits})"
     if isinstance(value, Cyclic):
-        return "(cyc " + " ".join(map(to_text, value.entries)) + ")"
+        return "(cyc " + " ".join(map(_to_text, value.entries)) + ")"
     if isinstance(value, PairMerge):
-        return f"(pairmerge {to_text(value.z)})"
+        return f"(pairmerge {_to_text(value.z)})"
     if isinstance(value, CycW):
         return f"(cw {value.word.bits})"
     if isinstance(value, Pullback):
-        return f"(pull {to_text(value.base)} (set {' '.join(map(to_text, value.aset))}))"
+        return f"(pull {_to_text(value.base)} (set {' '.join(map(_to_text, value.aset))}))"
     if isinstance(value, YSeq):
-        return "(ylist " + " ".join(map(to_text, value.entries)) + ")"
+        return "(ylist " + " ".join(map(_to_text, value.entries)) + ")"
     if isinstance(value, ZCode):
-        return "(zlist " + " ".join(map(to_text, value.entries)) + ")"
+        return "(zlist " + " ".join(map(_to_text, value.entries)) + ")"
     if isinstance(value, PPoint):
-        return f"(p {to_text(value.x)} {to_text(value.y)})"
+        return f"(p {_to_text(value.x)} {_to_text(value.y)})"
     raise TypeError(f"not serializable: {value!r}")
 
 
 class _Parser:
-    """Recursive descent over the token list, which ends in the sentinel
+    """Recursive descent over the token tuple, which ends in the sentinel
     ``""``: no token is empty, so the sentinel matches nothing, and each
-    read is an index into the list with no end check of its own."""
+    read is an index into the tuple with no end check of its own.
+
+    ``rationals`` maps the five tokens of each rational atom parsed so far
+    in this text, ``( rat N D )``, to its value.  :meth:`atom` looks up the
+    five tokens at ``pos`` first, so a repeated rational text is parsed
+    once and its occurrences share one value.  The lookup is a tuple slice,
+    which is shorter near the end of the text and then matches no key; a
+    key is stored only after its tokens parsed, so a hit hides no error."""
 
     def __init__(self, text):
         self.text = text
-        self.tokens = _TOKEN.findall(text) + [""]
+        self.tokens = (*_TOKEN.findall(text), "")
         self.pos = 0
         self.last_span = self.last_aseq = None
+        self.rationals = {}
 
     def error(self, message):
         """Raise at the start of token ``pos``, the end of the text at the
@@ -126,6 +141,12 @@ class _Parser:
         return value
 
     def atom(self, depth=0):
+        start = self.pos
+        key = self.tokens[start:start + 5]
+        value = self.rationals.get(key)
+        if value is not None:
+            self.pos = start + 5
+            return value
         kw = self.open(("rat", "tag", "word"), "expected an atom keyword, found ")
         if kw == "rat":
             num = self.integer(_INT, "an integer")
@@ -133,8 +154,10 @@ class _Parser:
             if den == 0:
                 self.pos -= 1
                 self.error(f"expected a positive integer, found {self.tokens[self.pos]!r}")
-            value = Rational(num, den)
-        elif kw == "tag":
+            self.expect(")")
+            value = self.rationals[key] = Rational(num, den)
+            return value
+        if kw == "tag":
             bit = int(self.token(_BIT, "a bit"))
             if depth == MAX_TAG_DEPTH:
                 self.error(f"tags nested deeper than {MAX_TAG_DEPTH}")

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import fractions
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,10 +69,12 @@ def test_word_atom_canonicalizes():
 
 
 def test_cyclic_word_rejects_bad_input():
-    with pytest.raises(ValueError):
-        CyclicWord("")
-    with pytest.raises(ValueError):
-        CyclicWord("102")
+    for bits in ("", "102", "10 ", "1\n0", "٠١"):
+        with pytest.raises(ValueError, match=re.escape(f"bits must be a nonempty 0/1 string, got {bits!r}")):
+            CyclicWord(bits)
+    for bits, kind in ((["1", "0"], "list"), (b"10", "bytes"), (10, "int"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=f"bits must be a str, got {kind}"):
+            CyclicWord(bits)
 
 
 @given(bitstrings)

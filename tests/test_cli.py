@@ -412,18 +412,35 @@ def test_echo_rejects_deep_tags(capsys):
     (("echo", "(cw 2)"), 2, "parse error: expected a 0/1 string, found '2' (at position 4)\n"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
 def test_exit_code_survives_a_closed_stdout(argv, code, err):
-    # The read end is closed before the child starts, so its first write to
-    # stdout meets a broken pipe every time.  stderr holds what it holds
-    # when stdout is read: no traceback.
+    # stderr holds what it holds when stdout is read: no traceback.
+    done = run_on_a_closed_pipe(argv, subprocess.PIPE)
+    assert (done.returncode, done.stderr.decode()) == (code, err)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("echo", "(cw 1)"), 0),
+    (("echo", "(cw 2)"), 2),
+    (("echo", "(p (cyc (rat 1 1) (rat 1 1)) (ylist (cw 10)))"), 2),
+    (("verify", "gtof", "--cases", "-1"), 2),
+    (("count", "--n", "5"), 2),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
+def test_exit_code_survives_closed_stdout_and_stderr(argv, code):
+    assert run_on_a_closed_pipe(argv, None).returncode == code
+
+
+def run_on_a_closed_pipe(argv, stderr):
+    """Run ``python -m carveq argv`` with stdout on the write end of a pipe
+    whose read end is closed before the child starts, so its first write
+    meets a broken pipe every time; stderr goes to ``stderr``, or to that
+    pipe too when ``stderr`` is None."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run([sys.executable, "-m", "carveq", *argv], stdin=subprocess.DEVNULL,
-                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        return subprocess.run([sys.executable, "-m", "carveq", *argv], stdin=subprocess.DEVNULL, stdout=write,
+                              stderr=write if stderr is None else stderr, env=env, timeout=60)
     finally:
         os.close(write)
-    assert (done.returncode, done.stderr.decode()) == (code, err)
 
 
 def test_echo_reads_stdin(capsys, monkeypatch):

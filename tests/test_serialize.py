@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -153,6 +154,14 @@ def test_parse_errors_carry_positions():
         (parse_atom, "(cw 1)", "expected an atom keyword, found 'cw'", 1),
         (parse_aseq, "(rat 1 1)", "expected an atom-sequence keyword, found 'rat'", 1),
         (parse_binseq, "(cyc (rat 1 1))", "expected a binary-sequence keyword, found 'cyc'", 1),
+        # Errors after a repeated rational text, whose value the parser keeps.
+        (parse_aseq, "(cyc (rat 1 2) (rat 1 2) (rat 1 0))", "expected a positive integer, found '0'", 32),
+        (parse_any, "(cyc (rat 1 2) (rat 1 2) (rat 1 0))", "expected a positive integer, found '0'", 32),
+        (parse_aseq, "(cyc (rat 1 2) (rat 1 2)", "unexpected end of input", 24),
+        (parse_any, "(cyc (rat 1 2) (rat 1 2)", "unexpected end of input", 24),
+        (parse_any, "(cyc (rat 1 2) (rat 1 2", "unexpected end of input", 23),
+        (parse_any, "(cyc (rat 1 2) (rat 1 2 (rat 1 2)))", "expected ')', found '('", 24),
+        (parse_ppoint, "(p (cyc (rat 1 2)) (ylist (rat 1 2)))", "expected a binary-sequence keyword, found 'rat'", 27),
     ]:
         with pytest.raises(ParseError) as err:
             entry(text)
@@ -208,6 +217,40 @@ def test_alternating_bases_round_trip():
     text = to_text(y)
     back = parse_any(text)
     assert back == y and to_text(back) == text
+
+
+def rationals_in(value):
+    """Every Rational occurrence in ``value``, read through the declared
+    fields of its dataclasses and the items of its tuples."""
+    if isinstance(value, Rational):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from rationals_in(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from rationals_in(getattr(value, f.name))
+
+
+def test_a_repeated_rational_text_parses_to_one_value():
+    # Atoms repeat across the rows of x and the sets of y, and inside tags.
+    x = Cyclic((R1, Tag(1, R1), R2, Tag(0, Tag(1, R2))))
+    y = YSeq((pullback(x, AtomSet.of(R1, Tag(1, R1))), pullback(x, AtomSet.of(R2, Tag(0, Tag(1, R2))))))
+    point = PPoint(x, y)
+    back = parse_ppoint(to_text(point))
+    assert back == point
+    seen = {}
+    for r in rationals_in(back):
+        seen.setdefault((r.num, r.den), set()).add(id(r))
+    assert set(seen) == {(R1.num, R1.den), (R2.num, R2.den)}
+    assert all(len(ids) == 1 for ids in seen.values())
+    assert sum(1 for _ in rationals_in(back)) > len(seen)
+    assert parse_aseq("(cyc (rat 1 2) (rat 1 3) (rat 1 2))") == Cyclic((Rational(1, 2), Rational(1, 3), Rational(1, 2)))
+
+
+def test_equal_rationals_from_different_texts_are_equal():
+    first, second = parse_aseq("(cyc (rat 2 4) (rat 1 2) (rat 1 3))").entries[:2]
+    assert first == second == Rational(1, 2)
 
 
 # md5 of every entry point's outcome over parse_corpus(), computed once with
