@@ -9,7 +9,9 @@ reported as that case's violation.
 
 from .atoms import AtomSet
 from .codes import Cyclic, YSeq, binseq_eq, iota, pullback, range_atoms, range_set
-from .generators import gen_covering_family, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream
+from .generators import (
+    gen_covering_family, gen_infiber_families, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream,
+)
 from .invariants import e_invariant, fs2_invariant
 from .reductions import (
     Violation, canonical_basepoint, case_violations, check_sampled, fiber_reduction, merged, run_cases,
@@ -26,17 +28,12 @@ def _sampled(name, cfg, case, offset=0):
 
 
 def _cyclic_point(rng, cfg):
-    """A valid point realized over a cyclic first coordinate.
-
-    realize_ppoint flips a coin between realizations; redraw on the same
-    stream until the cyclic arm comes up.
-    """
+    """A valid point realized over a cyclic first coordinate: one
+    realize_ppoint call, which redraws on the same stream until its cyclic
+    arm comes up and builds only that point."""
     base_atoms = gen_subset(rng, cfg.universe())
     family = gen_covering_family(rng, base_atoms, cfg.max_entries)
-    while True:
-        p = realize_ppoint(rng, base_atoms, family, cfg)
-        if isinstance(p.x, Cyclic):
-            return p
+    return realize_ppoint(rng, base_atoms, family, cfg, cyclic=True)
 
 
 def _identity_case(rng, cfg):
@@ -75,8 +72,11 @@ def campaign_claim(cfg):
     """The fiber map is a reduction: carve families agree exactly when the
     images relate under the jump of word equality.  Ground truth comes from
     the canonical invariant.  The basepoint-identity check runs first on the
-    same number of cases; claim case i draws from stream(seed, 10_000 + i)."""
-    return merged("verify:claim", campaign_identity(cfg), _sampled("claim", cfg, _claim_case, offset=10_000))
+    same number of cases, identity case j on stream(seed, j); claim case i
+    draws from stream(seed, max(10_000, cases) + i), past every identity
+    stream, so up to 10_000 cases claim case i is on stream(seed, 10_000 + i)."""
+    offset = max(10_000, cfg.cases)
+    return merged("verify:claim", campaign_identity(cfg), _sampled("claim", cfg, _claim_case, offset=offset))
 
 
 def _star_case(rng, cfg):
@@ -119,12 +119,19 @@ def _converse_fails(pair):
     return [("engineered converse witness did not behave", "F and not E", "other")]
 
 
-def _remark_case(rng, cfg):
+def _remark_pair(rng, cfg):
+    """(p1, p2): a random point and, on a coin, a second point over the same
+    range, realized as the first point of an in-fiber pair whose partner is
+    never built; otherwise a second random point."""
     p1, _ = gen_ppoint(rng, cfg)
-    if rng.coin():
-        p2, _, _ = gen_infiber_pair(rng, cfg, base_atoms=tuple(range_set(p1.x)))
-    else:
-        p2, _ = gen_ppoint(rng, cfg)
+    if not rng.coin():
+        return p1, gen_ppoint(rng, cfg)[0]
+    base_atoms, fam_p, _ = gen_infiber_families(rng, cfg, base_atoms=tuple(range_set(p1.x)))
+    return p1, realize_ppoint(rng, base_atoms, fam_p, cfg)
+
+
+def _remark_case(rng, cfg):
+    p1, p2 = _remark_pair(rng, cfg)
     found = []
     if rel_E(p1, p2) and not rel_F(p1.x, p2.x):
         found.append((f"{to_text(p1)} | {to_text(p2)}", "E", "not F"))

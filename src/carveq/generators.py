@@ -143,22 +143,32 @@ def gen_covering_family(rng, base_atoms, max_sets):
     return tuple(family)
 
 
-def realize_ppoint(rng, base_atoms, family, cfg):
+def realize_ppoint(rng, base_atoms, family, cfg, cyclic=False):
     """Build a validated point whose carve family is exactly ``family``.
 
     Ground truth is constructed forward: the first coordinate enumerates
-    ``base_atoms`` (cyclically or through a pair-merge), and each family
-    member is realized as a pullback, which the constructors normalize to
-    words over cyclic bases.  Entry order is shuffled and entries may be
-    duplicated, exercising set semantics.
+    ``base_atoms`` (cyclically or through a pair-merge, on a coin), and each
+    family member is realized as a pullback, which the constructors
+    normalize to words over cyclic bases.  Entry order is shuffled and
+    entries may be duplicated, exercising set semantics.
+
+    With ``cyclic`` true the point is the first cyclic one of repeated
+    realizations on ``rng``: a draw that comes up pair-merge makes all its
+    draws (shuffle, duplicate coin, arm coin, row code) and is redrawn
+    without building its point, so the result and the stream left behind
+    equal those of calling this until the first coordinate is cyclic.
     """
-    entries_sets = rng.shuffle(family)
-    if rng.coin():
-        entries_sets.append(rng.choice(family))
-    if rng.coin():
-        x = gen_cyclic(rng, base_atoms, cfg.max_period, cover=base_atoms)
-    else:
-        x = PairMerge(gen_zcode(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=base_atoms))
+    while True:
+        entries_sets = rng.shuffle(family)
+        if rng.coin():
+            entries_sets.append(rng.choice(family))
+        if rng.coin():
+            x = gen_cyclic(rng, base_atoms, cfg.max_period, cover=base_atoms)
+            break
+        z = gen_zcode(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=base_atoms)
+        if not cyclic:
+            x = PairMerge(z)
+            break
     y = YSeq(tuple(pullback(x, aset) for aset in entries_sets))
     return PPoint(x, y)
 
@@ -170,19 +180,28 @@ def gen_ppoint(rng, cfg):
     return realize_ppoint(rng, base_atoms, family, cfg), frozenset(family)
 
 
-def gen_infiber_pair(rng, cfg, base_atoms=None):
-    """Two valid points sharing one range; returns (p, q, related).
+def gen_infiber_families(rng, cfg, base_atoms=None):
+    """Two covering families of one base; returns (base_atoms, fam_p, fam_q).
 
-    Relatedness is known by construction: related pairs realize one family
-    twice, unrelated pairs realize two families that differ as sets.
+    On a coin ``fam_q`` is ``fam_p`` itself, otherwise a second draw.  The
+    base is drawn from the universe unless given.
     """
     if base_atoms is None:
         base_atoms = gen_subset(rng, cfg.universe())
     fam_p = gen_covering_family(rng, base_atoms, cfg.max_entries)
-    if rng.coin():
-        fam_q = fam_p
-    else:
-        fam_q = gen_covering_family(rng, base_atoms, cfg.max_entries)
+    fam_q = fam_p if rng.coin() else gen_covering_family(rng, base_atoms, cfg.max_entries)
+    return base_atoms, fam_p, fam_q
+
+
+def gen_infiber_pair(rng, cfg, base_atoms=None):
+    """Two valid points sharing one range; returns (p, q, related).
+
+    The families come from :func:`gen_infiber_families`, then p and q are
+    realized in that order.  Relatedness is known by construction: related
+    pairs realize one family twice, unrelated pairs realize two families
+    that differ as sets.
+    """
+    base_atoms, fam_p, fam_q = gen_infiber_families(rng, cfg, base_atoms)
     p = realize_ppoint(rng, base_atoms, fam_p, cfg)
     q = realize_ppoint(rng, base_atoms, fam_q, cfg)
     return p, q, frozenset(fam_p) == frozenset(fam_q)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from carveq import FuzzConfig, StructuralMismatch, campaigns, fs2_invariant, parse_any, reductions, rel_G, stream, to_text
+from carveq import (
+    FuzzConfig, PPoint, StructuralMismatch, campaigns, fs2_invariant, parse_any, reductions, rel_G, stream, to_text,
+)
 from carveq.cli import main
 from carveq.generators import MAX_SIZE
 
@@ -138,6 +140,29 @@ def test_claim_violations_replay_from_their_streams(monkeypatch):
     for v in report.violations:
         _, p, q = campaigns._infiber_case(stream(cfg.seed, 10_000 + v.index), cfg)
         assert v.detail == f"{to_text(p)} | {to_text(q)}"
+
+
+def test_claim_streams_follow_every_identity_stream(monkeypatch):
+    used = {"identity": [], "claim": []}
+    monkeypatch.setattr(campaigns, "stream", lambda seed, index: index)
+    monkeypatch.setattr(campaigns, "_identity_case", lambda index, cfg: used["identity"].append(index) or [])
+    monkeypatch.setattr(campaigns, "_claim_case", lambda index, cfg: used["claim"].append(index) or [])
+    report = campaigns.campaign_claim(FuzzConfig(cases=10_001))
+    assert report.checked == 20_002 and not report.violations
+    assert used["identity"] == list(range(10_001))
+    assert used["claim"] == list(range(10_001, 20_002))
+
+
+def test_fiber_campaigns_validate_only_the_points_they_check(monkeypatch):
+    # Per case: identity 1 point, claim 2, star 2, remark 2; remark's
+    # converse witness adds 2 once.  A point built and then dropped adds more.
+    validated = []
+    validate = PPoint.__post_init__
+    monkeypatch.setattr(PPoint, "__post_init__", lambda self: validated.append(self) or validate(self))
+    cfg = FuzzConfig(cases=20)
+    for target in ("claim", "star", "remark"):
+        assert not campaigns.CAMPAIGNS[target](cfg).violations
+    assert len(validated) == 7 * cfg.cases + 2
 
 
 def test_interleave_tagging_violation_is_json(capsys, monkeypatch):

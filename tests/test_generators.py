@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from carveq import (
@@ -18,11 +20,14 @@ from carveq import (
 from carveq.invariants import e_invariant
 from carveq.generators import (
     gen_covering_family,
+    gen_infiber_families,
     gen_infiber_pair,
     gen_ppoint,
     gen_subset,
     realize_ppoint,
 )
+
+from helpers import reference_cyclic_point
 
 
 def test_splitmix_reference_values():
@@ -129,3 +134,29 @@ def test_realize_ppoint_preserves_intended_family():
         family = gen_covering_family(rng, base, cfg.max_entries)
         p = realize_ppoint(rng, base, family, cfg)
         assert e_invariant(p) == canonical_family(family)
+
+
+def test_cyclic_realization_equals_redrawing_whole_points():
+    cfg = FuzzConfig(cases=0)
+    redrawn = 0
+    for i in range(2000):
+        rng = stream(313, i)
+        base = gen_subset(rng, cfg.universe())
+        family = gen_covering_family(rng, base, cfg.max_entries)
+        twin, plain = copy.copy(rng), copy.copy(rng)
+        p = realize_ppoint(rng, base, family, cfg, cyclic=True)
+        assert isinstance(p.x, Cyclic)
+        assert p == reference_cyclic_point(twin, base, family, cfg)
+        assert rng.next_u64() == twin.next_u64()
+        redrawn += isinstance(realize_ppoint(plain, base, family, cfg).x, PairMerge)
+    assert redrawn > 500
+
+
+def test_infiber_families_give_the_pairs_first_point():
+    cfg = FuzzConfig(cases=0)
+    for i in range(500):
+        rng, twin = stream(317, i), stream(317, i)
+        p, _, related = gen_infiber_pair(rng, cfg)
+        base, fam_p, fam_q = gen_infiber_families(twin, cfg)
+        assert realize_ppoint(twin, base, fam_p, cfg) == p
+        assert related == (frozenset(fam_p) == frozenset(fam_q))

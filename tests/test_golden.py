@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from carveq import FuzzConfig, campaigns, stream, to_text
 from carveq.cli import main
 
 from test_serialize import VECTORS
@@ -43,6 +44,13 @@ COUNT = {
 }
 
 
+# md5 of the canonical text of every point the fiber campaigns check at seed
+# 0 over 200 cases: identity's cyclic point, the in-fiber pairs of claim and
+# star, and remark's pair.  A passing report holds no point, so these bytes
+# pin the samples the VERIFY fingerprints cannot see.
+FIBER_SAMPLES_MD5 = "8c3477e1e908bc723ddeb132dd58f625"
+
+
 def stdout_md5(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -58,6 +66,19 @@ def test_verify_golden(capsys, target):
 def test_verify_golden_large_grid(capsys, target):
     got = stdout_md5(capsys, "verify", target, *LARGE, "--format", "machine")
     assert got == (0, VERIFY_LARGE[target])
+
+
+def test_fiber_samples_golden():
+    cfg = FuzzConfig(cases=200)
+    digest = hashlib.md5()
+    for i in range(cfg.cases):
+        points = [campaigns._cyclic_point(stream(cfg.seed, i), cfg)]
+        points += campaigns._infiber_case(stream(cfg.seed, 10_000 + i), cfg)[1:]
+        points += campaigns._infiber_case(stream(cfg.seed, i), cfg)[1:]
+        points += campaigns._remark_pair(stream(cfg.seed, i), cfg)
+        for p in points:
+            digest.update(to_text(p).encode() + b"\n")
+    assert digest.hexdigest() == FIBER_SAMPLES_MD5
 
 
 def test_chain_golden(capsys):
