@@ -4,19 +4,21 @@ Each campaign is a per-case check run by :func:`reductions.run_cases`, the
 one case loop, over per-case substreams of the configured seed.  A case
 computes ground truth through one route and the checked claim through
 another and returns every disagreement; an error raised in a case is
-reported as that case's violation.
+reported as that case's violation.  Star, remark and the tagging test are
+class-map checks through :func:`reductions.class_map_violations`.
 """
 
 from .atoms import AtomSet
-from .codes import Cyclic, YSeq, binseq_eq, iota, pullback, range_atoms, range_set
+from .codes import Cyclic, YSeq, binseq_class_rep, binseq_eq, iota, pullback, range_atoms, range_set
 from .generators import (
     gen_covering_family, gen_infiber_families, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream,
 )
 from .invariants import e_invariant, fs2_invariant
 from .reductions import (
-    Violation, canonical_basepoint, case_violations, check_sampled, fiber_reduction, merged, run_cases,
+    Violation, canonical_basepoint, case_violations, check_sampled, class_map_violations, fiber_reduction,
+    merged, run_cases,
 )
-from .relations import PPoint, carve, rel_E, rel_F, rel_G
+from .relations import PPoint, rel_E, rel_F, rel_G
 from .serialize import to_text
 
 
@@ -82,21 +84,18 @@ def campaign_claim(cfg):
 def _star_case(rng, cfg):
     x0, p, q = _infiber_case(rng, cfg)
     record = fiber_reduction(x0)
-    fp, fq = record.map(p), record.map(q)
-    found = []
-    for n in range(len(p.y.entries)):
-        for m in range(len(q.y.entries)):
-            left = carve(p, n) == carve(q, m)
-            right = binseq_eq(fp.entries[n], fq.entries[m])
-            if left != right:
-                found.append((f"n={n} m={m}: {to_text(p)} | {to_text(q)}", left, right))
-    return found
+    found = class_map_violations(
+        (f"{side} entry {n}", c, binseq_class_rep(e))
+        for side, point in (("p", p), ("q", q))
+        for n, (c, e) in enumerate(zip(point.carves, record.map(point).entries, strict=True))
+    )
+    return [(f"carve -> entry class {kind}: {to_text(p)} | {to_text(q)}", a, b) for kind, a, b in found]
 
 
 def campaign_star(cfg):
-    """Entrywise correspondence: the n-th carve of one point equals the m-th
-    carve of the other exactly when output entries n and m agree, for every
-    pair of entry indices."""
+    """Entrywise correspondence: two entries of the two points, or of one,
+    carve equal sets exactly when their output entries agree; checked as a
+    class map from carve to the output entry's class representative."""
     return _sampled("star", cfg, _star_case)
 
 
@@ -132,9 +131,9 @@ def _remark_pair(rng, cfg):
 
 def _remark_case(rng, cfg):
     p1, p2 = _remark_pair(rng, cfg)
-    found = []
-    if rel_E(p1, p2) and not rel_F(p1.x, p2.x):
-        found.append((f"{to_text(p1)} | {to_text(p2)}", "E", "not F"))
+    keyed = ((name, frozenset(p.carves), range_atoms(p.x)) for name, p in (("p1", p1), ("p2", p2)))
+    found = class_map_violations(keyed, injective=False)
+    found = [(f"E class -> range {kind}: {to_text(p1)} | {to_text(p2)}", a, b) for kind, a, b in found]
     for point in (p1, p2):
         if set().union(*point.carves) != range_atoms(point.x):
             found.append((f"carves do not union to the range: {to_text(point)}", "union", "range"))
@@ -174,14 +173,9 @@ def campaign_interleave(cfg):
     """Product relatedness of two cyclic pairs coincides with range equality
     of their interleavings; tagging is injective on universe x {0, 1}."""
     report = _registered("interleave", cfg, "fxf_to_f")
-    seen = {}
-    for a in cfg.universe():
-        for bit in (0, 1):
-            b, bit_b = seen.setdefault(iota(a, bit), (a, bit))
-            if (b, bit_b) != (a, bit):
-                report.violations.append(
-                    Violation(-1, "tagging is not injective", f"{to_text(b)} {bit_b}", f"{to_text(a)} {bit}")
-                )
+    tagged = ((f"{to_text(a)} {bit}", (a, bit), iota(a, bit)) for a in cfg.universe() for bit in (0, 1))
+    found = class_map_violations(tagged)
+    report.violations += [Violation(-1, f"tagging is {kind}", a, b) for kind, a, b in found]
     return report
 
 

@@ -111,9 +111,8 @@ def gen_cyclic(rng, pool, max_period, cover=None):
     return Cyclic(tuple(entries))
 
 
-def gen_zcode(rng, pool, max_period, max_entries, cover=None):
-    """Random row code; with ``cover`` given, the union of row ranges is
-    exactly that set."""
+def _zcode_rows(rng, pool, max_period, max_entries, cover=None):
+    """gen_zcode's draws: the row lists of its code, which is not built."""
     rows = rng.randint(1, max_entries)
     lists = [
         [rng.choice(tuple(cover) if cover is not None else pool) for _ in range(rng.randint(1, max_period))]
@@ -127,7 +126,12 @@ def gen_zcode(rng, pool, max_period, max_entries, cover=None):
         missing = [a for a in cover if not any(a in row for row in lists)]
         for atom in missing:
             lists[rng.randrange(rows)].append(atom)
-    return ZCode(tuple(Cyclic(tuple(row)) for row in lists))
+    return lists
+
+
+def gen_zcode(rng, pool, max_period, max_entries, cover=None):
+    """Random row code; with ``cover`` given, the union of row ranges is exactly that set."""
+    return ZCode(tuple(Cyclic(tuple(row)) for row in _zcode_rows(rng, pool, max_period, max_entries, cover)))
 
 
 def gen_covering_family(rng, base_atoms, max_sets):
@@ -154,9 +158,9 @@ def realize_ppoint(rng, base_atoms, family, cfg, cyclic=False):
 
     With ``cyclic`` true the point is the first cyclic one of repeated
     realizations on ``rng``: a draw that comes up pair-merge makes all its
-    draws (shuffle, duplicate coin, arm coin, row code) and is redrawn
-    without building its point, so the result and the stream left behind
-    equal those of calling this until the first coordinate is cyclic.
+    draws (shuffle, duplicate coin, arm coin, row lists) but builds no row
+    code or point, so the result and the stream left behind equal those of
+    calling this until the first coordinate is cyclic.
     """
     while True:
         entries_sets = rng.shuffle(family)
@@ -165,10 +169,10 @@ def realize_ppoint(rng, base_atoms, family, cfg, cyclic=False):
         if rng.coin():
             x = gen_cyclic(rng, base_atoms, cfg.max_period, cover=base_atoms)
             break
-        z = gen_zcode(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=base_atoms)
         if not cyclic:
-            x = PairMerge(z)
+            x = PairMerge(gen_zcode(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=base_atoms))
             break
+        _zcode_rows(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=base_atoms)
     y = YSeq(tuple(pullback(x, aset) for aset in entries_sets))
     return PPoint(x, y)
 

@@ -257,6 +257,25 @@ def case_violations(index, check, case):
     return [Violation(index, *v) for v in found]
 
 
+def class_map_violations(keyed, injective=True):
+    """Clashes of the map source key -> target key on ``keyed``, finitely
+    many (name, source key, target key) items, as run_cases triples: ("not
+    well defined", first name, name) for equal source keys with unequal
+    target keys and, with ``injective``, ("not injective", first name, name)
+    for the converse.  Each item meets the first one stored under its keys,
+    so every clash between two items shows up."""
+    by_src, by_tgt, found = {}, {}, []
+    for name, s, t in keyed:
+        first, first_t = by_src.setdefault(s, (name, t))
+        if first_t != t:
+            found.append(("not well defined", first, name))
+        if injective:
+            first, first_s = by_tgt.setdefault(t, (name, s))
+            if first_s != s:
+                found.append(("not injective", first, name))
+    return found
+
+
 def merged(name, *reports):
     """One report from several: checked counts add up, violations and notes
     are concatenated in order."""

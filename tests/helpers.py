@@ -23,6 +23,7 @@ from carveq import (
     ZCode,
     binseq_value_at,
     cantor_pair,
+    carve,
     pullback,
     range_set,
     saturation_bound,
@@ -89,6 +90,19 @@ def reference_binseq_eq(u, v):
             if binseq_value_at(u, k) != binseq_value_at(v, k):
                 return False
     return True
+
+
+def reference_star_violations(p, q, fp, fq):
+    """The star property by the double loop over entry pairs of two points
+    and their images: every (n, m) where carve n of p equals carve m of q
+    but output entries n of fp and m of fq differ as sequences, or the
+    reverse."""
+    return [
+        (n, m)
+        for n in range(len(p.y.entries))
+        for m in range(len(q.y.entries))
+        if (carve(p, n) == carve(q, m)) != reference_binseq_eq(fp.entries[n], fq.entries[m])
+    ]
 
 
 def represent(b, row_times, entry_times):

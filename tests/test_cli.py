@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from carveq import (
-    FuzzConfig, PPoint, StructuralMismatch, campaigns, fs2_invariant, parse_any, reductions, rel_G, stream, to_text,
+    FuzzConfig, PPoint, StructuralMismatch, ZCode, campaigns, fs2_invariant, parse_any, reductions, rel_G, stream,
+    to_text,
 )
 from carveq.cli import main
 from carveq.generators import MAX_SIZE
@@ -121,7 +122,9 @@ def refuse(*args):
     raise StructuralMismatch("refused")
 
 
-@pytest.mark.parametrize("target, name", [("claim", "rel_G"), ("star", "binseq_eq"), ("remark", "rel_E")])
+@pytest.mark.parametrize(
+    "target, name", [("claim", "rel_G"), ("star", "binseq_class_rep"), ("remark", "range_atoms")]
+)
 def test_verify_reports_an_error_raised_in_a_campaign_case(capsys, monkeypatch, target, name):
     monkeypatch.setattr(campaigns, name, refuse)
     code, out, _ = run(capsys, "verify", target, "--cases", "3", "--format", "machine")
@@ -163,6 +166,30 @@ def test_fiber_campaigns_validate_only_the_points_they_check(monkeypatch):
     for target in ("claim", "star", "remark"):
         assert not campaigns.CAMPAIGNS[target](cfg).violations
     assert len(validated) == 7 * cfg.cases + 2
+
+
+def test_identity_builds_no_row_code(monkeypatch):
+    # A pair-merge draw that the cyclic arm throws away makes its row lists only.
+    built = []
+    validate = ZCode.__post_init__
+    monkeypatch.setattr(ZCode, "__post_init__", lambda self: built.append(self) or validate(self))
+    assert not campaigns.campaign_identity(FuzzConfig(cases=100)).violations
+    assert built == []
+
+
+def test_star_remark_and_tagging_decide_through_the_class_map(monkeypatch):
+    calls = {}
+    target = None
+    check = campaigns.class_map_violations
+
+    def recorder(keyed, **kwargs):
+        calls[target] = calls.get(target, 0) + 1
+        return check(keyed, **kwargs)
+
+    monkeypatch.setattr(campaigns, "class_map_violations", recorder)
+    for target in ("star", "remark", "interleave"):
+        assert not campaigns.CAMPAIGNS[target](FuzzConfig(cases=3)).violations
+    assert calls == {"star": 3, "remark": 3, "interleave": 1}
 
 
 def test_interleave_tagging_violation_is_json(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from carveq import (
     YSeq,
     ZCode,
     binseq_eq,
+    campaigns,
     canonical_basepoint,
     carve,
     chain_report,
@@ -46,9 +47,11 @@ from carveq.generators import (
     gen_yseq_pair,
     gen_zcode_pair,
 )
-from carveq.reductions import check_sampled, embed_fs2_record, link_status, run_cases, sampled_reductions
+from carveq.reductions import (
+    check_sampled, class_map_violations, embed_fs2_record, link_status, run_cases, sampled_reductions,
+)
 
-from helpers import R1, R2, R3
+from helpers import R1, R2, R3, reference_star_violations
 
 CFG = FuzzConfig(cases=0, atom_universe=4, max_period=5, max_entries=4)
 
@@ -130,10 +133,50 @@ def test_fiber_reduction_star_property():
         x0 = canonical_basepoint(AtomSet(base))
         p, q, _ = gen_infiber_pair(rng, CFG, base_atoms=base)
         record = fiber_reduction(x0)
-        fp, fq = record.map(p), record.map(q)
-        for n in range(len(p.y.entries)):
-            for m in range(len(q.y.entries)):
-                assert (carve(p, n) == carve(q, m)) == binseq_eq(fp.entries[n], fq.entries[m])
+        assert reference_star_violations(p, q, record.map(p), record.map(q)) == []
+
+
+def _drop_last_bit(record, x0):
+    """``record`` with a broken map: each image word, written over one
+    period of ``x0``, loses its last bit (a one-bit word keeps it)."""
+    period = len(x0.entries)
+
+    def fmap(p):
+        words = (e.word.bits * (period // len(e.word.bits)) for e in record.map(p).entries)
+        return YSeq(tuple(CycW(w[:-1] or w) for w in words))
+
+    return dataclasses.replace(record, map=fmap)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_star_case_fails_wherever_the_pairwise_oracle_fails(monkeypatch, broken):
+    # The class-map check also compares entries within one point, so it may
+    # fail where the oracle, which compares across the two points, does not.
+    cfg = FuzzConfig()
+    real = fiber_reduction
+    fiber = (lambda x0: _drop_last_bit(real(x0), x0)) if broken else real
+    monkeypatch.setattr(campaigns, "fiber_reduction", fiber)
+    oracle_fails = star_fails = 0
+    for i in range(200):
+        x0, p, q = campaigns._infiber_case(stream(cfg.seed, i), cfg)
+        record = fiber(x0)
+        expected = reference_star_violations(p, q, record.map(p), record.map(q))
+        found = campaigns._star_case(stream(cfg.seed, i), cfg)
+        assert found or not expected, i
+        oracle_fails += bool(expected)
+        star_fails += bool(found)
+    if broken:
+        assert 0 < oracle_fails < star_fails
+    else:
+        assert oracle_fails == star_fails == 0
+
+
+def test_class_map_violations_name_the_first_item_and_the_clash():
+    keyed = [("a", 1, "x"), ("b", 1, "y"), ("c", 2, "x"), ("d", 3, "z"), ("e", 1, "x")]
+    assert class_map_violations(iter(keyed)) == [("not well defined", "a", "b"), ("not injective", "a", "c")]
+    assert class_map_violations(keyed, injective=False) == [("not well defined", "a", "b")]
+    assert class_map_violations([("a", 1, "x"), ("b", 2, "x")], injective=False) == []
+    assert class_map_violations([]) == []
 
 
 def test_fiber_reduction_full_iff():
