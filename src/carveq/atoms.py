@@ -109,6 +109,8 @@ class Tag(_kept("_hash")):
             depth, inner = depth + 1, inner.inner
         if depth > MAX_TAG_DEPTH:
             raise ValueError(f"tags nested deeper than {MAX_TAG_DEPTH}")
+        if not isinstance(inner, (Rational, WordAtom)):
+            raise TypeError(f"not an atom: {inner!r}")
         object.__setattr__(self, "_hash", hash((self.bit, self.inner)))
 
 

@@ -1,11 +1,11 @@
 """Property campaigns behind the ``verify`` targets.
 
 Each campaign is a per-case check run by :func:`reductions.run_cases`, the
-one case loop, over per-case substreams of the configured seed.  A case
-computes ground truth through one route and the checked claim through
-another and returns every disagreement; an error raised in a case is
-reported as that case's violation.  Star, remark and the tagging test are
-class-map checks through :func:`reductions.class_map_violations`.
+one case loop, over per-case substreams of the configured seed; an error
+raised in a case is reported as that case's violation.  Claim and the
+registry reductions check pairs through :func:`reductions.pair_violations`
+(the fiber source decides E by its invariant); star, remark and the tagging
+test are class-map checks through :func:`reductions.class_map_violations`.
 """
 
 from .atoms import AtomSet
@@ -16,9 +16,9 @@ from .generators import (
 from .invariants import e_invariant, fs2_invariant
 from .reductions import (
     Violation, canonical_basepoint, case_violations, check_sampled, class_map_violations, fiber_reduction,
-    merged, run_cases,
+    merged, pair_violations, run_cases,
 )
-from .relations import PPoint, rel_E, rel_F, rel_G
+from .relations import PPoint, rel_E, rel_F
 from .serialize import to_text
 
 
@@ -64,19 +64,17 @@ def _infiber_case(rng, cfg):
 
 def _claim_case(rng, cfg):
     x0, p, q = _infiber_case(rng, cfg)
-    record = fiber_reduction(x0)
-    truth = e_invariant(p) == e_invariant(q)
-    mapped = rel_G(record.map(p), record.map(q))
-    return [] if truth == mapped else [(f"{to_text(p)} | {to_text(q)}", truth, mapped)]
+    return pair_violations(fiber_reduction(x0), (p, q))
 
 
 def campaign_claim(cfg):
     """The fiber map is a reduction: carve families agree exactly when the
-    images relate under the jump of word equality.  Ground truth comes from
-    the canonical invariant.  The basepoint-identity check runs first on the
-    same number of cases, identity case j on stream(seed, j); claim case i
-    draws from stream(seed, max(10_000, cases) + i), past every identity
-    stream, so up to 10_000 cases claim case i is on stream(seed, 10_000 + i)."""
+    images relate under the jump of word equality, checked by the pair check
+    on the fiber record, whose source decides E by the canonical invariant.
+    The basepoint-identity check runs first on the same number of cases,
+    identity case j on stream(seed, j); claim case i draws from stream(seed,
+    max(10_000, cases) + i), past every identity stream, so up to 10_000
+    cases claim case i is on stream(seed, 10_000 + i)."""
     offset = max(10_000, cfg.cases)
     return merged("verify:claim", campaign_identity(cfg), _sampled("claim", cfg, _claim_case, offset=offset))
 

@@ -30,7 +30,7 @@ from .codes import (
 )
 from .errors import CarveqError, DomainViolation, StructuralMismatch
 from .generators import gen_atom_pair, gen_cyclic_pair, gen_yseq_pair, gen_zcode_pair, stream
-from .invariants import ROW_KEYS, count_row
+from .invariants import ROW_KEYS, count_row, e_invariant
 from .relations import ATOM_EQ, E_REL, F_REL, G_REL, EqRelHandle, PPoint, jump, product
 from .serialize import to_text
 
@@ -60,9 +60,9 @@ def fiber_reduction(x0):
     index k' with x(k') = x0(k).  The map takes any grid cell index of each
     value (see grid_cells): the fiber condition makes range(x) cover every
     x0(k), so each has a witness, and clause (3) makes every index of a
-    value give the same bit.  The fiber holds the points whose x
-    enumerates the same set as x0; the source decision and the map share one
-    check of it, which raises DomainViolation outside.
+    value give the same bit.  The fiber holds the points whose x enumerates
+    the same set as x0; the source, which decides E by e_invariant, and the
+    map share one check of it, which raises DomainViolation outside.
     """
     if not isinstance(x0, Cyclic):
         raise StructuralMismatch("fiber basepoints must be cyclic codes")
@@ -75,7 +75,7 @@ def fiber_reduction(x0):
     def decide(p, q):
         check_in_fiber(p)
         check_in_fiber(q)
-        return E_REL.decide(p, q)
+        return e_invariant(p) == e_invariant(q)
 
     def fmap(p):
         check_in_fiber(p)
@@ -287,27 +287,26 @@ def merged(name, *reports):
     return report
 
 
+def pair_violations(record, pair, image_check=None):
+    """The defining equivalence on one pair of source points, as run_cases
+    triples: ("pair <a> | <b>", source verdict, target verdict) when the
+    verdicts disagree.  ``image_check(point, image)``, when given, runs on
+    both points and returns None or one more triple."""
+    a, b = pair
+    src = record.source.decide(a, b)
+    fa, fb = record.map(a), record.map(b)
+    tgt = record.target.decide(fa, fb)
+    found = [] if src == tgt else [(f"pair {_describe(a)} | {_describe(b)}", src, tgt)]
+    if image_check is not None:
+        found += [v for v in (image_check(a, fa), image_check(b, fb)) if v is not None]
+    return found
+
+
 def check_reduction(record, pairs, image_check=None):
-    """Evaluate the defining equivalence on every supplied pair.
-
-    Each disagreement (or per-pair domain error) is recorded with both
-    verdicts; an empty violation list is a pass.  ``image_check(point,
-    image)``, when given, runs on both points of every pair and returns
-    None or the (detail, source_verdict, target_verdict) of a violation;
-    it adds no checked case.
-    """
-
-    def check(pair):
-        a, b = pair
-        src = record.source.decide(a, b)
-        fa, fb = record.map(a), record.map(b)
-        tgt = record.target.decide(fa, fb)
-        found = [] if src == tgt else [(f"pair {_describe(a)} | {_describe(b)}", src, tgt)]
-        if image_check is not None:
-            found += [v for v in (image_check(a, fa), image_check(b, fb)) if v is not None]
-        return found
-
-    return run_cases(record.name, pairs, check)
+    """:func:`pair_violations` on every supplied pair, through run_cases: a
+    per-pair domain error is that pair's violation, an empty violation list
+    is a pass, and ``image_check`` adds no checked case."""
+    return run_cases(record.name, pairs, lambda pair: pair_violations(record, pair, image_check))
 
 
 def check_sampled(name, cfg, corrupt=False, image_check=None):

@@ -63,6 +63,13 @@ def test_tag_depth_cap_through_the_api():
             deep = Tag(1, deep)
 
 
+def test_tag_refuses_a_non_atom_inside():
+    for build, inner in ((lambda: Tag(0, 5), 5), (lambda: Cyclic((Tag(0, "x"),)), "x")):
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == f"not an atom: {inner!r}"
+
+
 def test_word_atom_canonicalizes():
     assert atom_eq(WordAtom("1010"), WordAtom("10"))
     assert WordAtom("1010").word.bits == "10"

@@ -126,7 +126,10 @@ def refuse(*args):
     "target, name", [("claim", "rel_G"), ("star", "binseq_class_rep"), ("remark", "range_atoms")]
 )
 def test_verify_reports_an_error_raised_in_a_campaign_case(capsys, monkeypatch, target, name):
-    monkeypatch.setattr(campaigns, name, refuse)
+    if target == "claim":  # claim decides G through its fiber record's target handle
+        monkeypatch.setattr(reductions, "G_REL", dataclasses.replace(reductions.G_REL, decide=refuse))
+    else:
+        monkeypatch.setattr(campaigns, name, refuse)
     code, out, _ = run(capsys, "verify", target, "--cases", "3", "--format", "machine")
     assert code == 1
     payload = json.loads(out)
@@ -137,12 +140,13 @@ def test_verify_reports_an_error_raised_in_a_campaign_case(capsys, monkeypatch, 
 
 def test_claim_violations_replay_from_their_streams(monkeypatch):
     cfg = FuzzConfig(seed=3, cases=8)
-    monkeypatch.setattr(campaigns, "rel_G", lambda y, y2: not rel_G(y, y2))
+    negated = dataclasses.replace(reductions.G_REL, decide=lambda y, y2: not rel_G(y, y2))
+    monkeypatch.setattr(reductions, "G_REL", negated)
     report = campaigns.campaign_claim(cfg)
     assert [v.index for v in report.violations] == list(range(cfg.cases))
     for v in report.violations:
         _, p, q = campaigns._infiber_case(stream(cfg.seed, 10_000 + v.index), cfg)
-        assert v.detail == f"{to_text(p)} | {to_text(q)}"
+        assert v.detail == f"pair {to_text(p)} | {to_text(q)}"
 
 
 def test_claim_streams_follow_every_identity_stream(monkeypatch):

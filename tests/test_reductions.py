@@ -341,6 +341,32 @@ def test_check_reduction_records_domain_errors():
     assert "DomainViolation" in report.violations[0].detail
 
 
+def test_claim_and_check_reduction_share_one_pair_check(monkeypatch):
+    from carveq import reductions
+
+    pair_calls, loops = [], []
+    real_pair, real_loop = reductions.pair_violations, reductions.check_reduction
+
+    def recording_pair(record, pair, image_check=None):
+        pair_calls.append((record.name, loops[-1] if loops else None))
+        return real_pair(record, pair, image_check)
+
+    def recording_loop(record, pairs, image_check=None):
+        loops.append(record.name)
+        return real_loop(record, pairs, image_check)
+
+    for module in (reductions, campaigns):
+        monkeypatch.setattr(module, "pair_violations", recording_pair)
+    monkeypatch.setattr(reductions, "check_reduction", recording_loop)
+    cfg = FuzzConfig(seed=9, cases=7)
+    assert not campaigns.campaign_claim(cfg).violations
+    assert len(pair_calls) == cfg.cases
+    assert all(name.startswith("fiber[") and loop is None for name, loop in pair_calls)
+    pair_calls.clear()
+    assert not check_sampled("g_to_f", cfg).violations
+    assert loops == ["g_to_f"] and pair_calls == [("g_to_f", "g_to_f")] * cfg.cases
+
+
 def test_run_cases_records_a_raised_error_as_the_cases_violation():
     def check(case):
         if case == "bad":
