@@ -56,9 +56,10 @@ def campaign_identity(cfg):
 
 
 def _infiber_case(rng, cfg):
+    """(x0, p, q): an in-fiber pair over a random base and its canonical basepoint x0."""
     base_atoms = gen_subset(rng, cfg.universe())
-    x0 = canonical_basepoint(AtomSet(base_atoms))
-    p, q, _ = gen_infiber_pair(rng, cfg, base_atoms=base_atoms)
+    x0 = canonical_basepoint(base_atoms)
+    p, q, _ = gen_infiber_pair(rng, cfg, base_atoms)
     return x0, p, q
 
 
@@ -117,13 +118,14 @@ def _converse_fails(pair):
 
 
 def _remark_pair(rng, cfg):
-    """(p1, p2): a random point and, on a coin, a second point over the same
-    range, realized as the first point of an in-fiber pair whose partner is
-    never built; otherwise a second random point."""
-    p1, _ = gen_ppoint(rng, cfg)
+    """(p1, p2): a random point and, on a coin, a second point over the
+    range set of p1.x, realized as the first point of an in-fiber pair whose
+    partner is never built; otherwise a second random point."""
+    p1 = gen_ppoint(rng, cfg)
     if not rng.coin():
-        return p1, gen_ppoint(rng, cfg)[0]
-    base_atoms, fam_p, _ = gen_infiber_families(rng, cfg, base_atoms=tuple(range_set(p1.x)))
+        return p1, gen_ppoint(rng, cfg)
+    base_atoms = range_set(p1.x)
+    fam_p, _ = gen_infiber_families(rng, cfg, base_atoms)
     return p1, realize_ppoint(rng, base_atoms, fam_p, cfg)
 
 

@@ -94,7 +94,7 @@ def _cmd_count(args):
         lines += (f"{row['level']:<6} {row['n']:<3} {row['count']:<12} "
                   f"{row['closed_form']:<12} {'yes' if row['match'] else 'NO'}" for row in rows)
         _print("\n".join(lines))
-    return 0
+    return 0 if all(row["match"] for row in rows) else 1
 
 
 def _cmd_echo(args):

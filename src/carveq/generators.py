@@ -91,46 +91,43 @@ class FuzzConfig:
 
 
 def gen_subset(rng, pool):
-    """Random nonempty subset of ``pool`` as a sorted tuple of distinct atoms."""
+    """Random nonempty subset of ``pool`` as an AtomSet."""
     size = rng.randint(1, len(pool))
-    picked = rng.shuffle(pool)[:size]
-    return tuple(AtomSet(tuple(picked)))
+    return AtomSet(tuple(rng.shuffle(pool)[:size]))
 
 
-def gen_cyclic(rng, pool, max_period, cover=None):
-    """Random cyclic code with entries from ``pool``; with ``cover`` given,
-    the range is exactly that set."""
-    if cover is None:
+def gen_cyclic(rng, pool, max_period, cover=False):
+    """Random cyclic code with entries from ``pool``; with ``cover`` true,
+    the range is exactly the pool."""
+    pool = tuple(pool)
+    if not cover:
         length = rng.randint(1, max_period)
         return Cyclic(tuple(rng.choice(pool) for _ in range(length)))
-    cover = tuple(cover)
-    length = rng.randint(len(cover), max(max_period, len(cover)))
-    entries = [rng.choice(cover) for _ in range(length)]
-    for pos, atom in zip(rng.shuffle(range(length)), rng.shuffle(cover)):
+    length = rng.randint(len(pool), max(max_period, len(pool)))
+    entries = [rng.choice(pool) for _ in range(length)]
+    for pos, atom in zip(rng.shuffle(range(length)), rng.shuffle(pool)):
         entries[pos] = atom
     return Cyclic(tuple(entries))
 
 
-def _zcode_rows(rng, pool, max_period, max_entries, cover=None):
+def _zcode_rows(rng, pool, max_period, max_entries, cover=False):
     """gen_zcode's draws: the row lists of its code, which is not built."""
+    pool = tuple(pool)
     rows = rng.randint(1, max_entries)
-    lists = [
-        [rng.choice(tuple(cover) if cover is not None else pool) for _ in range(rng.randint(1, max_period))]
-        for _ in range(rows)
-    ]
-    if cover is not None:
-        for atom in cover:
+    lists = [[rng.choice(pool) for _ in range(rng.randint(1, max_period))] for _ in range(rows)]
+    if cover:
+        for atom in pool:
             row = rng.randrange(rows)
             lists[row][rng.randrange(len(lists[row]))] = atom
         # overwriting may evict an atom placed earlier; append whatever is left
-        missing = [a for a in cover if not any(a in row for row in lists)]
+        missing = [a for a in pool if not any(a in row for row in lists)]
         for atom in missing:
             lists[rng.randrange(rows)].append(atom)
     return lists
 
 
-def gen_zcode(rng, pool, max_period, max_entries, cover=None):
-    """Random row code; with ``cover`` given, the union of row ranges is exactly that set."""
+def gen_zcode(rng, pool, max_period, max_entries, cover=False):
+    """Random row code over ``pool``; with ``cover`` true, the union of row ranges is exactly the pool."""
     return ZCode(tuple(Cyclic(tuple(row)) for row in _zcode_rows(rng, pool, max_period, max_entries, cover)))
 
 
@@ -138,7 +135,7 @@ def gen_covering_family(rng, base_atoms, max_sets):
     """Nonempty family of nonempty subsets of ``base_atoms`` whose union is
     the whole base, as a tuple of AtomSets (may repeat)."""
     count = rng.randint(1, max_sets)
-    family = [AtomSet._trusted(gen_subset(rng, base_atoms)) for _ in range(count)]
+    family = [gen_subset(rng, base_atoms) for _ in range(count)]
     covered = set().union(*family)
     missing = tuple(a for a in base_atoms if a not in covered)
     if missing:
@@ -167,45 +164,41 @@ def realize_ppoint(rng, base_atoms, family, cfg, cyclic=False):
         if rng.coin():
             entries_sets.append(rng.choice(family))
         if rng.coin():
-            x = gen_cyclic(rng, base_atoms, cfg.max_period, cover=base_atoms)
+            x = gen_cyclic(rng, base_atoms, cfg.max_period, cover=True)
             break
         if not cyclic:
-            x = PairMerge(gen_zcode(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=base_atoms))
+            x = PairMerge(gen_zcode(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=True))
             break
-        _zcode_rows(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=base_atoms)
+        _zcode_rows(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=True)
     y = YSeq(tuple(pullback(x, aset) for aset in entries_sets))
     return PPoint(x, y)
 
 
 def gen_ppoint(rng, cfg):
-    """Random valid point; returns (point, intended family as a frozenset)."""
+    """Random valid point over a random base of the universe."""
     base_atoms = gen_subset(rng, cfg.universe())
     family = gen_covering_family(rng, base_atoms, cfg.max_entries)
-    return realize_ppoint(rng, base_atoms, family, cfg), frozenset(family)
+    return realize_ppoint(rng, base_atoms, family, cfg)
 
 
-def gen_infiber_families(rng, cfg, base_atoms=None):
-    """Two covering families of one base; returns (base_atoms, fam_p, fam_q).
-
-    On a coin ``fam_q`` is ``fam_p`` itself, otherwise a second draw.  The
-    base is drawn from the universe unless given.
-    """
-    if base_atoms is None:
-        base_atoms = gen_subset(rng, cfg.universe())
+def gen_infiber_families(rng, cfg, base_atoms):
+    """Two covering families of the AtomSet ``base_atoms``; returns (fam_p,
+    fam_q).  On a coin ``fam_q`` is ``fam_p`` itself, otherwise a second
+    draw."""
     fam_p = gen_covering_family(rng, base_atoms, cfg.max_entries)
     fam_q = fam_p if rng.coin() else gen_covering_family(rng, base_atoms, cfg.max_entries)
-    return base_atoms, fam_p, fam_q
+    return fam_p, fam_q
 
 
-def gen_infiber_pair(rng, cfg, base_atoms=None):
-    """Two valid points sharing one range; returns (p, q, related).
+def gen_infiber_pair(rng, cfg, base_atoms):
+    """Two valid points ranging over the AtomSet ``base_atoms``; returns (p, q, related).
 
     The families come from :func:`gen_infiber_families`, then p and q are
     realized in that order.  Relatedness is known by construction: related
     pairs realize one family twice, unrelated pairs realize two families
     that differ as sets.
     """
-    base_atoms, fam_p, fam_q = gen_infiber_families(rng, cfg, base_atoms)
+    fam_p, fam_q = gen_infiber_families(rng, cfg, base_atoms)
     p = realize_ppoint(rng, base_atoms, fam_p, cfg)
     q = realize_ppoint(rng, base_atoms, fam_q, cfg)
     return p, q, frozenset(fam_p) == frozenset(fam_q)
@@ -296,4 +289,4 @@ def gen_serial_value(rng, cfg):
         return YSeq(tuple(gen_binseq(rng, cfg) for _ in range(rng.randint(1, cfg.max_entries))))
     if kind == 5:
         return gen_zcode(rng, cfg.universe(), cfg.max_period, cfg.max_entries)
-    return gen_ppoint(rng, cfg)[0]
+    return gen_ppoint(rng, cfg)

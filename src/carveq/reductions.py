@@ -343,7 +343,7 @@ class ChainReport:
 
     @property
     def status(self):
-        if not any(link.violations for link in self.links):
+        if not any(link.violations for link in self.links) and all(match for *_, match in self.growth):
             return "counterexample structure verified"
         return "violations found"
 

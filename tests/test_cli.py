@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from carveq import (
-    FuzzConfig, PPoint, StructuralMismatch, ZCode, campaigns, fs2_invariant, parse_any, reductions, rel_G, stream,
-    to_text,
+    CycW, FuzzConfig, PPoint, Rational, StructuralMismatch, YSeq, ZCode, campaigns, fs2_invariant, invariants,
+    parse_any, reductions, rel_G, stream, to_text,
 )
 from carveq.cli import main
 from carveq.generators import MAX_SIZE
+from carveq.reductions import Violation
 
 from helpers import mutated_texts, option_like_texts
 
@@ -158,6 +159,102 @@ def test_claim_streams_follow_every_identity_stream(monkeypatch):
     assert report.checked == 20_002 and not report.violations
     assert used["identity"] == list(range(10_001))
     assert used["claim"] == list(range(10_001, 20_002))
+
+
+def break_fiber_map(monkeypatch, broken):
+    """Make every fiber record's map return ``broken(image)`` of its image."""
+    fiber = campaigns.fiber_reduction
+
+    def patched(x0):
+        record = fiber(x0)
+        return dataclasses.replace(record, map=lambda p: broken(record.map(p)))
+
+    monkeypatch.setattr(campaigns, "fiber_reduction", patched)
+
+
+def test_identity_reports_a_changed_entry_count(monkeypatch):
+    break_fiber_map(monkeypatch, lambda y: YSeq(y.entries + y.entries[:1]))
+    cfg = FuzzConfig(seed=5, cases=4)
+    report = campaigns.campaign_identity(cfg)
+    assert report.checked == 4 and report.status == "fail"
+    points = [campaigns._cyclic_point(stream(cfg.seed, i), cfg) for i in range(cfg.cases)]
+    assert report.violations == [
+        Violation(i, f"entry count changed on {to_text(p)}", len(p.y.entries), len(p.y.entries) + 1)
+        for i, p in enumerate(points)
+    ]
+
+
+def test_identity_reports_the_first_changed_entry(monkeypatch):
+    def flip_last(y):
+        bits = y.entries[-1].word.bits.translate(str.maketrans("01", "10"))
+        return YSeq(y.entries[:-1] + (CycW(bits),))
+
+    break_fiber_map(monkeypatch, flip_last)
+    cfg = FuzzConfig(seed=5, cases=4)
+    report = campaigns.campaign_identity(cfg)
+    assert report.checked == 4 and report.status == "fail"
+    points = [campaigns._cyclic_point(stream(cfg.seed, i), cfg) for i in range(cfg.cases)]
+    assert report.violations == [
+        Violation(i, f"entry {len(p.y.entries) - 1} changed on {to_text(p)}", "y(n)", "f(p)(n)")
+        for i, p in enumerate(points)
+    ]
+
+
+def test_remark_reports_a_converse_witness_that_does_not_behave(monkeypatch):
+    monkeypatch.setattr(campaigns, "rel_E", lambda p, q: True)
+    report = campaigns.campaign_remark(FuzzConfig(cases=3))
+    assert report.checked == 3 and report.status == "fail" and report.notes == []
+    assert report.violations == [
+        Violation(-1, "engineered converse witness did not behave", "F and not E", "other")
+    ]
+
+
+def test_remark_reports_carves_that_do_not_union_to_the_range(monkeypatch):
+    extra = Rational(99, 1)
+    range_atoms = campaigns.range_atoms
+    monkeypatch.setattr(campaigns, "range_atoms", lambda x: range_atoms(x) | {extra})
+    cfg = FuzzConfig(seed=5, cases=3)
+    report = campaigns.campaign_remark(cfg)
+    assert report.checked == 3 and report.status == "fail"
+    pairs = [campaigns._remark_pair(stream(cfg.seed, i), cfg) for i in range(cfg.cases)]
+    assert report.violations == [
+        Violation(i, f"carves do not union to the range: {to_text(point)}", "union", "range")
+        for i, pair in enumerate(pairs)
+        for point in pair
+    ]
+
+
+def test_verify_text_report_lists_each_violation(capsys, monkeypatch):
+    monkeypatch.setattr(campaigns, "rel_E", lambda p, q: True)
+    code, out, _ = run(capsys, "verify", "remark", "--cases", "2")
+    assert code == 1
+    assert out == (
+        "verify:remark: fail  checked=2  violations=1\n"
+        "  violation #-1: source=F and not E target=other  engineered converse witness did not behave\n"
+    )
+
+
+def test_count_and_chain_fail_on_a_growth_row_that_does_not_match(capsys, monkeypatch):
+    closed_form = invariants.closed_form
+    wrong = {("E", 2): 8}
+    monkeypatch.setattr(invariants, "closed_form", lambda level, n: wrong.get((level, n)) or closed_form(level, n))
+    code, out, _ = run(capsys, "count", "--n", "2")
+    assert code == 1
+    assert [line.split() for line in out.splitlines()[1:]] == [["F", "2", "3", "3", "yes"], ["E", "2", "7", "8", "NO"]]
+    code, out, _ = run(capsys, "count", "--n", "2", "--format", "machine")
+    assert code == 1
+    assert json.loads(out)["rows"][1] == {"level": "E", "n": 2, "count": 7, "closed_form": 8, "match": False}
+    code, out, _ = run(capsys, "chain", "--cases", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert "  E 2 7 8 NO" in lines and lines[-1] == "status: violations found"
+    assert not any("[XX]" in line for line in lines)
+    code, out, _ = run(capsys, "chain", "--cases", "3", "--format", "machine")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "violations found"
+    assert [row["match"] for row in payload["growth"]] == [True, True, True, False, True, True]
+    assert [link["status"] for link in payload["links"]] == ["verified", "hypothetical", "verified", "verified"]
 
 
 def test_fiber_campaigns_validate_only_the_points_they_check(monkeypatch):

@@ -59,11 +59,15 @@ def test_fuzz_config_validation():
 
 
 def test_generated_points_are_valid_and_match_family():
+    # The family is re-derived on a twin stream from the draws gen_ppoint makes.
     cfg = FuzzConfig(cases=0)
     cyclic_seen = pairmerge_seen = 0
     for i in range(400):
-        rng = stream(301, i)
-        p, family = gen_ppoint(rng, cfg)
+        rng, twin = stream(301, i), stream(301, i)
+        p = gen_ppoint(rng, cfg)
+        base = gen_subset(twin, cfg.universe())
+        family = gen_covering_family(twin, base, cfg.max_entries)
+        assert realize_ppoint(twin, base, family, cfg) == p
         assert PPoint(p.x, p.y) == p
         assert e_invariant(p) == canonical_family(family)
         cyclic_seen += isinstance(p.x, Cyclic)
@@ -111,7 +115,7 @@ def test_infiber_pairs_cover_both_outcomes():
     related = unrelated = 0
     for i in range(1000):
         rng = stream(307, i)
-        p, q, known = gen_infiber_pair(rng, cfg)
+        p, q, known = gen_infiber_pair(rng, cfg, gen_subset(rng, cfg.universe()))
         assert rel_E(p, q) == known
         related += known
         unrelated += not known
@@ -121,8 +125,8 @@ def test_infiber_pairs_cover_both_outcomes():
 
 def test_generation_is_reproducible():
     cfg = FuzzConfig(cases=0)
-    first = [to_text(gen_ppoint(stream(5, i), cfg)[0]) for i in range(40)]
-    second = [to_text(gen_ppoint(stream(5, i), cfg)[0]) for i in range(40)]
+    first = [to_text(gen_ppoint(stream(5, i), cfg)) for i in range(40)]
+    second = [to_text(gen_ppoint(stream(5, i), cfg)) for i in range(40)]
     assert first == second
 
 
@@ -156,7 +160,8 @@ def test_infiber_families_give_the_pairs_first_point():
     cfg = FuzzConfig(cases=0)
     for i in range(500):
         rng, twin = stream(317, i), stream(317, i)
-        p, _, related = gen_infiber_pair(rng, cfg)
-        base, fam_p, fam_q = gen_infiber_families(twin, cfg)
+        p, _, related = gen_infiber_pair(rng, cfg, gen_subset(rng, cfg.universe()))
+        base = gen_subset(twin, cfg.universe())
+        fam_p, fam_q = gen_infiber_families(twin, cfg, base)
         assert realize_ppoint(twin, base, fam_p, cfg) == p
         assert related == (frozenset(fam_p) == frozenset(fam_q))

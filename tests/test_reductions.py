@@ -130,7 +130,7 @@ def test_fiber_reduction_star_property():
     for i in range(1000):
         rng = stream(201, i)
         base = gen_subset(rng, CFG.universe())
-        x0 = canonical_basepoint(AtomSet(base))
+        x0 = canonical_basepoint(base)
         p, q, _ = gen_infiber_pair(rng, CFG, base_atoms=base)
         record = fiber_reduction(x0)
         assert reference_star_violations(p, q, record.map(p), record.map(q)) == []
@@ -184,7 +184,7 @@ def test_fiber_reduction_full_iff():
     for i in range(1000):
         rng = stream(203, i)
         base = gen_subset(rng, CFG.universe())
-        x0 = canonical_basepoint(AtomSet(base))
+        x0 = canonical_basepoint(base)
         p, q, known = gen_infiber_pair(rng, CFG, base_atoms=base)
         record = fiber_reduction(x0)
         truth = e_invariant(p) == e_invariant(q)
@@ -203,7 +203,7 @@ def test_fiber_reduction_witness_choice_irrelevant():
     for i in range(300):
         rng = stream(229, i)
         base = gen_subset(rng, CFG.universe())
-        x0 = canonical_basepoint(AtomSet(base))
+        x0 = canonical_basepoint(base)
         p, _, _ = gen_infiber_pair(rng, CFG, base_atoms=base)
         out = fiber_reduction(x0).map(p)
         bound = saturation_bound(p.x)

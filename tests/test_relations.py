@@ -327,7 +327,7 @@ def _mutated_membership_pair(rng):
     """A valid point's (x, y), hit on three draws in four by 1-2 mutations:
     drop an entry, or insert the word 0, a non-constant word or a pullback
     over a fresh pair-merge base at a random position."""
-    p = gen_ppoint(rng, CFG)[0]
+    p = gen_ppoint(rng, CFG)
     entries = list(p.y.entries)
     for _ in range(rng.randint(1, 2) if rng.randrange(4) else 0):
         kind = rng.randrange(4)
@@ -370,8 +370,8 @@ def test_validation_carves_match_carve_pair():
     for seed in (3, 17, 101):
         for i in range(60):
             rng = stream(seed, i)
-            points.append(gen_ppoint(rng, CFG)[0])
-            points.extend(gen_infiber_pair(rng, CFG)[:2])
+            points.append(gen_ppoint(rng, CFG))
+            points.extend(gen_infiber_pair(rng, CFG, gen_subset(rng, CFG.universe()))[:2])
             points.append(embed_fs2(gen_zcode(rng, CFG.universe(), CFG.max_period, CFG.max_entries)))
     assert any(isinstance(e, Pullback) for p in points for e in p.y.entries)
     for p in points:
@@ -390,7 +390,7 @@ def test_kept_carves_match_naive_scan():
         for i in range(60):
             rng = stream(seed, i)
             for p in (
-                gen_ppoint(rng, CFG)[0],
+                gen_ppoint(rng, CFG),
                 embed_fs2(gen_zcode(rng, CFG.universe(), CFG.max_period, CFG.max_entries)),
             ):
                 again = PPoint(p.x, YSeq(p.y.entries[::-1]))
@@ -546,8 +546,8 @@ def test_handles_are_equivalence_relations():
 def test_remark_implication_and_union_property():
     for i in range(300):
         rng = stream(73, i)
-        p1, _ = gen_ppoint(rng, CFG)
-        p2, _ = gen_ppoint(rng, CFG)
+        p1 = gen_ppoint(rng, CFG)
+        p2 = gen_ppoint(rng, CFG)
         if rel_E(p1, p2):
             assert rel_F(p1.x, p2.x)
         for p in (p1, p2):
