@@ -132,15 +132,14 @@ def gen_zcode(rng, pool, max_period, max_entries, cover=False):
 
 
 def gen_covering_family(rng, base_atoms, max_sets):
-    """Nonempty family of nonempty subsets of ``base_atoms`` whose union is
-    the whole base, as a tuple of AtomSets (may repeat)."""
+    """Nonempty family of nonempty subsets of the AtomSet ``base_atoms``
+    whose union is the whole base, as a tuple of AtomSets (may repeat)."""
     count = rng.randint(1, max_sets)
     family = [gen_subset(rng, base_atoms) for _ in range(count)]
     covered = set().union(*family)
     missing = tuple(a for a in base_atoms if a not in covered)
     if missing:
-        extra = missing if rng.coin() else tuple(base_atoms)
-        family.append(AtomSet(extra))
+        family.append(AtomSet(missing) if rng.coin() else base_atoms)
     return tuple(family)
 
 

@@ -92,7 +92,8 @@ G_REL = EqRelHandle("G", rel_G)
 
 
 def _word_carve(x, word):
-    """Carve of a word over x, with the first clause (3) witness.
+    """Carve of a word over x, with the first clause (3) witness and the
+    word's cell mask.
 
     Constant words carve everything or nothing over any base and never
     clash.  Any other word needs a cyclic x of period P; let L be the
@@ -108,11 +109,22 @@ def _word_carve(x, word):
     clash is the first m >= P whose bit differs from the bit at m - P; that
     test has period L in m, so the clash lies below P + L or nowhere.
 
+    The mask, over a cyclic x, has bit i < P set iff index i meets a 1 bit,
+    that is iff some 1 bit of the word is congruent to i mod g; a constant
+    word's mask is all P bits or none.  It is read off the same residues as
+    the carve, with no atom hashed.  Without a clash, bit i is set iff x[i]
+    is in the carve: if x[i] were carved through an index j with a 1 bit
+    while every position at i met bit 0, the value x[i] would carry both
+    bits, a clash.  With a clash the mask may miss carved values, but
+    clause (3) is decided before clause (1) reads any mask.  Over a
+    pair-merge base, whose table holds constant words only, the mask is 0
+    and unread.
+
     The result depends only on x and the word, so x keeps it: the slot
     ``_carves`` of x (not a field, so equality, hashing and the printed
-    form ignore it) maps the word's canonical bits to (carve, witness).
-    The branch that computes it has no comprehension: one would give the
-    function cells, whose setup every kept lookup would pay.
+    form ignore it) maps the word's canonical bits to (carve, witness,
+    mask).  The branch that computes it has no comprehension: one would
+    give the function cells, whose setup every kept lookup would pay.
     """
     memo = x._carves
     if memo is None:
@@ -121,22 +133,26 @@ def _word_carve(x, word):
     found = memo.get(word.bits)
     if found is not None:
         return found
-    if word.is_constant():
-        found = (range_set(x) if word.bits == "1" else AtomSet(())), None
+    if word.bits == "0":
+        found = AtomSet(()), None, 0
+    elif word.bits == "1":
+        found = range_set(x), None, (1 << len(x.entries)) - 1 if isinstance(x, Cyclic) else 0
     else:
         entries, bits = x.entries, word.bits
         period, length = len(entries), len(bits)
         g = math.gcd(period, length)
-        ones, first_seen, clash = set(), {}, None
+        ones, first_seen, clash, mask = set(), {}, None, 0
         for r in range(g):
             if "1" in bits[r::g]:
                 ones.update(entries[r::g])
+                for i in range(r, period, g):
+                    mask |= 1 << i
         for pos in range(min(period * length // g, period + length)):
             at = first_seen.setdefault(entries[pos % period], pos)
             if bits[at % length] != bits[pos % length]:
                 clash = (at, pos)
                 break
-        found = AtomSet(tuple(ones)), clash
+        found = AtomSet(tuple(ones)), clash, mask
     memo[word.bits] = found
     return found
 
@@ -166,7 +182,22 @@ def carve_pair(x, entry):
 def _validate_membership(x, y):
     """Carve y's entries over x in one pass; return the carves in entry
     order.  A structural mismatch raises at once, then clause (3), (2) and
-    (1) in that order, (3) and (2) with their first offending entry."""
+    (1) in that order, (3) and (2) with their first offending entry.
+
+    A word entry is read from x's kept table (:func:`_word_carve`) with one
+    lookup.  A hit needs no structural check: a pair-merge's table only
+    ever holds constant words.  A miss fills the table, through
+    :func:`carve_pair` for a constant word, so that each base's first
+    full or empty word still passes the public carve (perfbench's
+    enumerate workload counts it there).
+
+    Clause (1) over a cyclic x is one OR of the entries' cell masks: every
+    entry there is a word (:func:`~carveq.codes.pullback` evaluates a
+    pullback over a cyclic base to a word), and once clause (3) holds each
+    mask is exact, so the values are covered iff all P bits are set.  A
+    pair-merge x has pullback entries, which carry no mask, so there the
+    union of the carves is compared with the kept range.
+    """
     if not isinstance(x, (Cyclic, PairMerge)):
         raise TypeError(f"not an atom-sequence code: {x!r}")
     if not isinstance(y, YSeq):
@@ -177,21 +208,28 @@ def _validate_membership(x, y):
     # value) and constant words trivially; a non-constant word entry (over a
     # cyclic x, by the structural check) is decided by _word_carve's clash
     # scan, whose kept result still raises.  Clause (2): no carve is empty.
+    memo = x._carves or {}
     carves = []
     clash = empty = None
+    cells = 0
     for k, entry in enumerate(y.entries):
         if isinstance(entry, Pullback):
             if entry.base != x:
                 raise StructuralMismatch(f"entry {k} pulls back over a different base")
             aset = carve_pair(x, entry)
-        elif entry.word.is_constant():
-            aset = carve_pair(x, entry)
-        elif isinstance(x, PairMerge):
-            raise StructuralMismatch(f"entry {k}: non-constant word over a pair-merge base")
         else:
-            aset, at = _word_carve(x, entry.word)
+            found = memo.get(entry.word.bits)
+            if found is None:
+                if entry.word.is_constant():
+                    carve_pair(x, entry)
+                elif isinstance(x, PairMerge):
+                    raise StructuralMismatch(f"entry {k}: non-constant word over a pair-merge base")
+                found = _word_carve(x, entry.word)
+                memo = x._carves
+            aset, at, mask = found
             if at is not None and clash is None:
                 clash = (k, *at)
+            cells |= mask
         if empty is None and not aset.elements:
             empty = (k,)
         carves.append(aset)
@@ -200,10 +238,13 @@ def _validate_membership(x, y):
     if empty is not None:
         raise ClauseViolation(2, empty)
 
-    # Clause (1): every enumerated value is carved by some entry.  Every
-    # carve is a subset of range(x), so their union covers it iff it is as
-    # large.  The witness is the least index of an uncovered value, which is
-    # a grid cell (see grid_cells).
+    # Clause (1): every enumerated value is carved by some entry.  Over a
+    # cyclic x the OR of the masks says so.  Otherwise, and to find the
+    # witness, every carve is a subset of range(x), so their union covers it
+    # iff it is as large.  The witness is the least index of an uncovered
+    # value, which is a grid cell (see grid_cells).
+    if isinstance(x, Cyclic) and cells == (1 << len(x.entries)) - 1:
+        return tuple(carves)
     covered = set()
     for aset in carves:
         covered.update(aset.elements)

@@ -101,7 +101,9 @@ COVERING_NEXT_U64 = (
 
 @pytest.mark.parametrize("seed, after", COVERING_NEXT_U64)
 def test_covering_family_sets_are_canonical(seed, after):
-    base = (WordAtom("01"), Rational(3, 1), Tag(1, Rational(1, 2)), Rational(1, 1), Tag(0, WordAtom("011")))
+    base = AtomSet(
+        (WordAtom("01"), Rational(3, 1), Tag(1, Rational(1, 2)), Rational(1, 1), Tag(0, WordAtom("011")))
+    )
     rng = stream(seed, 0)
     family = gen_covering_family(rng, base, 4)
     for aset in family:

@@ -213,6 +213,41 @@ def test_count_classes_e_goes_through_real_points(monkeypatch):
     assert calls["point"] == 127
 
 
+def test_count_classes_e_carves_each_base_word_once(monkeypatch):
+    # Validation reads each word entry from its base's kept table: the 127
+    # families of n=3 compute one carve per (base, word), 3 * 1 + 3 * 3 + 7
+    # in all, call carve_pair only for each base's first full word, and
+    # decide clause (1) by the cell masks alone, never by the atom union.
+    from carveq import relations
+
+    computed, calls = {}, {}
+    carve_pairs = []
+    word_carve, carve_pair = relations._word_carve, relations.carve_pair
+
+    def counted_word_carve(x, word):
+        key = x, word.bits
+        calls[key] = calls.get(key, 0) + 1
+        if x._carves is None or word.bits not in x._carves:
+            computed[key] = computed.get(key, 0) + 1
+        return word_carve(x, word)
+
+    def counted_carve_pair(x, entry):
+        carve_pairs.append((x, entry))
+        return carve_pair(x, entry)
+
+    def no_union(x):
+        raise AssertionError("clause (1) over a cyclic base read the atom union")
+
+    monkeypatch.setattr(relations, "_word_carve", counted_word_carve)
+    monkeypatch.setattr(relations, "carve_pair", counted_carve_pair)
+    monkeypatch.setattr(relations, "range_atoms", no_union)
+    assert count_classes("E", 3) == 127
+    assert len(computed) == 3 * 1 + 3 * 3 + 7 and set(computed.values()) == {1}
+    assert set(calls) == set(computed) and max(calls.values()) <= 2
+    assert len(carve_pairs) == len({x for x, _ in carve_pairs}) == 7
+    assert all(entry == CycW("1") for _, entry in carve_pairs)
+
+
 @pytest.mark.parametrize("n, families", ((1, 1), (2, 7), (3, 127)))
 def test_count_classes_e_spends_one_step_per_family(monkeypatch, n, families):
     from carveq import invariants

@@ -247,6 +247,32 @@ def test_word_carves_over_long_and_coprime_periods():
     assert outcomes == {"valid", "clash below P", "clash past P"}
 
 
+def test_kept_mask_marks_the_carved_indices():
+    # Without a clause (3) clash, bit i of a word's kept cell mask is set iff
+    # x[i] is in its carve, and no bit at P or above is set: periods up to
+    # 40 in every divisibility relation and both constant words.
+    kinds = set()
+    for i in range(1200):
+        case = _long_period_case(stream(71, i), i % 4, i // 4 % 2)
+        if case is None:
+            continue
+        x, bits = case
+        for word in (CycW(bits), CycW("0"), CycW("1")):
+            aset = carve_pair(x, word)
+            kept, clash, mask = x._carves[word.word.bits]
+            assert kept is aset
+            if clash is not None:
+                continue
+            assert mask >> len(x.entries) == 0, (x, word)
+            assert [mask >> j & 1 for j in range(len(x.entries))] == [
+                a in aset.elements for a in x.entries
+            ], (x, word)
+            kinds.add((i % 4, word.word.is_constant()))
+    # A non-constant word over a coprime period meets both bits at every
+    # index, so it always clashes and only constant words are checked there.
+    assert kinds == {(k, True) for k in range(4)} | {(0, False), (1, False), (3, False)}
+
+
 def test_carve_pair_structural_mismatch():
     z = ZCode((Cyclic((R1,)), Cyclic((R2,))))
     with pytest.raises(StructuralMismatch):
@@ -350,19 +376,41 @@ def _mutated_membership_pair(rng):
     return p.x, YSeq(tuple(entries))
 
 
-def test_validation_matches_the_brute_force_oracle():
+def _membership_outcome(x, y):
+    """PPoint(x, y)'s carves as frozensets, or its error in the shape of
+    reference_membership's."""
+    try:
+        return tuple(frozenset(aset) for aset in PPoint(x, y).carves)
+    except ClauseViolation as err:
+        return ClauseViolation, err.clause, err.witness
+    except StructuralMismatch as err:
+        return StructuralMismatch, None, (int(str(err).split()[1].rstrip(":")),)
+
+
+def test_validation_matches_the_brute_force_oracle(monkeypatch):
+    pairs = [_mutated_membership_pair(stream(61, i)) for i in range(2000)]
+    expected = [reference_membership(x, y) for x, y in pairs]
     seen = set()
-    for i in range(2000):
-        x, y = _mutated_membership_pair(stream(61, i))
-        try:
-            got = tuple(frozenset(aset) for aset in PPoint(x, y).carves)
-        except ClauseViolation as err:
-            got = (ClauseViolation, err.clause, err.witness)
-        except StructuralMismatch as err:
-            got = (StructuralMismatch, None, (int(str(err).split()[1].rstrip(":")),))
-        assert got == reference_membership(x, y), (x, y)
+    for (x, y), want in zip(pairs, expected):
+        got = _membership_outcome(x, y)
+        assert got == want, (x, y)
         seen.add("valid" if isinstance(got[0], frozenset) else got[1])
     assert seen == {"valid", None, 1, 2, 3}
+
+    # The same objects again: every word now comes from its base's kept
+    # table, no carve is computed, and each outcome, a kept clash's clause
+    # (3) included, is the same.
+    from carveq import relations
+
+    def computed(x, word):
+        raise AssertionError(f"carve of {word.bits} over {x!r} computed again")
+
+    monkeypatch.setattr(relations, "_word_carve", computed)
+    kept_clashes = 0
+    for (x, y), want in zip(pairs, expected):
+        assert _membership_outcome(x, y) == want, (x, y)
+        kept_clashes += want[:2] == (ClauseViolation, 3)
+    assert kept_clashes
 
 
 def test_validation_carves_match_carve_pair():
