@@ -62,9 +62,11 @@ def stream(seed, index):
 # case's time and memory grow faster than the product of the three: with
 # all three at 1000 one claim case ran past 40 s and interleave reached
 # 174 MB, and at 10**8 the universe alone is 10**8 atoms.  With all three
-# at this bound every target and chain take at most 0.2 s and 18 MB per
-# case (20 cases each, 2-core VM); the tests, README and benchmark use at
-# most 9.
+# at this bound every target and chain take at most 0.1 s per case and
+# 17 MB in all (20 cases each, seeds 0-2, 2-core VM).  claim sets that
+# figure; embed and chain take at most 0.03 s per case, since the double
+# jump reads keys, but G still decides by scanning pairs of entries.  The
+# tests, README and benchmark use at most 9.
 MAX_SIZE = 100
 
 

@@ -122,14 +122,16 @@ def pair_interleave(x, y):
 
     One lcm of the two periods suffices; beyond it both coordinates repeat,
     so the cyclic completion of the output matches the full interleaving.
+    Each entry is tagged once and its tag reused at every slot it fills.
     """
     if not (isinstance(x, Cyclic) and isinstance(y, Cyclic)):
         raise StructuralMismatch("pair_interleave needs two cyclic codes")
-    span = math.lcm(len(x.entries), len(y.entries))
+    xs = [iota(a, 0) for a in x.entries]
+    ys = [iota(b, 1) for b in y.entries]
     out = []
-    for n in range(span):
-        out.append(iota(x.entries[n % len(x.entries)], 0))
-        out.append(iota(y.entries[n % len(y.entries)], 1))
+    for n in range(math.lcm(len(xs), len(ys))):
+        out.append(xs[n % len(xs)])
+        out.append(ys[n % len(ys)])
     return Cyclic(tuple(out))
 
 

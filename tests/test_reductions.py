@@ -273,8 +273,8 @@ def test_g_to_f_examples():
     assert g_to_f(y) == Cyclic((WordAtom("10"), WordAtom("10")))
     assert not rel_F(g_to_f(YSeq((CycW("1"),))), g_to_f(YSeq((CycW("0"),))))
     base = PairMerge(ZCode((Cyclic((R1,)), Cyclic((R2,)))))
-    with pytest.raises(StructuralMismatch):
-        g_to_f(YSeq((pullback(base, AtomSet.of(R1)),)))
+    with pytest.raises(StructuralMismatch, match=r"entry 1 is a pullback"):
+        g_to_f(YSeq((CycW("10"), pullback(base, AtomSet.of(R1)))))
 
 
 def test_g_to_f_reduction_property():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carveq import (
     ATOM_EQ,
@@ -11,6 +12,7 @@ from carveq import (
     Cyclic,
     DomainViolation,
     E_REL,
+    EqRelHandle,
     F_REL,
     G_REL,
     FuzzConfig,
@@ -21,6 +23,7 @@ from carveq import (
     StructuralMismatch,
     YSeq,
     ZCode,
+    atom_eq,
     carve,
     carve_family,
     carve_pair,
@@ -61,6 +64,7 @@ from helpers import (
     partition_classes,
     reference_membership,
 )
+from strategies import cyclics, zcodes
 
 CFG = FuzzConfig(cases=0, atom_universe=4, max_period=5, max_entries=4)
 
@@ -103,6 +107,72 @@ def test_jump_of_f_matches_partition_oracle():
         reps_u = {id(c) for c in classes for r in u.entries if any(r is m for m in c)}
         reps_v = {id(c) for c in classes for r in v.entries if any(r is m for m in c)}
         assert jf.decide(u, v) == (reps_u == reps_v)
+
+
+@st.composite
+def operand_pairs(draw, codes):
+    """Two codes of one kind.  Half the time the second is the first's
+    entries reshuffled with one of them repeated, which keeps every class
+    (the flag says so); otherwise it is an independent draw."""
+    u = draw(codes)
+    if not draw(st.booleans()):
+        return u, draw(codes), False
+    entries = list(draw(st.permutations(u.entries)))
+    entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from(u.entries)))
+    return u, type(u)(tuple(entries)), True
+
+
+def _keyed_jump_agrees(handle, element_rel, pair):
+    u, v, related = pair
+    verdict = forall_exists(u.entries, v.entries, element_rel)
+    assert handle.decide(u, v) == verdict
+    assert verdict or not related
+
+
+@settings(derandomize=True, max_examples=300)
+@given(operand_pairs(cyclics))
+def test_keyed_jump_of_atom_eq_matches_forall_exists(pair):
+    _keyed_jump_agrees(jump(ATOM_EQ), atom_eq, pair)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(operand_pairs(zcodes))
+def test_keyed_double_jump_matches_forall_exists(pair):
+    _keyed_jump_agrees(
+        jump(jump(ATOM_EQ)), lambda r, s: forall_exists(r.entries, s.entries, atom_eq), pair
+    )
+
+
+@settings(derandomize=True, max_examples=300)
+@given(operand_pairs(zcodes))
+def test_keyed_jump_of_f_matches_forall_exists(pair):
+    _keyed_jump_agrees(jump(F_REL), rel_F, pair)
+
+
+def test_keyed_jump_reads_each_key_once_and_never_decides():
+    calls = []
+
+    def refuse(a, b):
+        raise AssertionError("a keyed jump called its element relation's decide")
+
+    def counted(a):
+        calls.append(a)
+        return a
+
+    j = jump(EqRelHandle("counted", refuse, key=counted))
+    jj = jump(j)
+    codes = [Cyclic(es) for es in ((R1,), (R1, R2), (R2, R1, R2), (R3, R3), (R1, R2, R3, R4))]
+    for u in codes:
+        for v in codes:
+            calls.clear()
+            assert j.decide(u, v) == forall_exists(u.entries, v.entries, atom_eq)
+            assert len(calls) == len(u.entries) + len(v.entries)
+    rows = [ZCode(tuple(codes[:k])) for k in range(1, len(codes) + 1)] + [ZCode((codes[1], codes[2]))]
+    for u in rows:
+        for v in rows:
+            calls.clear()
+            jj.decide(u, v)
+            assert len(calls) == sum(len(r.entries) for r in u.entries + v.entries)
 
 
 def test_product():
@@ -549,7 +619,7 @@ def test_restrict_to_fiber():
 
 
 def _equivalence_samples():
-    samples = {"eq": [], "F": [], "G": [], "E": [], "jump": [], "jump2": [], "prod": []}
+    samples = {"eq": [], "F": [], "G": [], "E": [], "jump": [], "jump2": [], "jumpF": [], "prod": []}
     for i in range(120):
         rng = stream(67, i)
         samples["eq"].append(rng.choice(CFG.universe()))
@@ -564,6 +634,7 @@ def _equivalence_samples():
         samples["jump"].append(gen_cyclic(rng, CFG.universe(), 4))
         samples["jump2"].append(gen_zcode(rng, CFG.universe(), 3, 3))
         samples["prod"].append((gen_cyclic(rng, CFG.universe(), 4), gen_cyclic(rng, CFG.universe(), 4)))
+        samples["jumpF"].append(gen_zcode(rng, CFG.universe(), 3, 3))
     return samples
 
 
@@ -576,6 +647,7 @@ def test_handles_are_equivalence_relations():
         "E": E_REL,
         "jump": jump(ATOM_EQ),
         "jump2": jump(jump(ATOM_EQ)),
+        "jumpF": jump(F_REL),
         "prod": product(F_REL, F_REL),
     }
     rng = stream(71, 0)
