@@ -7,6 +7,7 @@ library is evidence rather than tautology.
 
 import itertools
 import math
+import sys
 
 from carveq import (
     AtomSet,
@@ -340,25 +341,63 @@ def reference_tokens(text):
 MUTATION_ALPHABET = "() 0129-x\t\u3000"
 
 
+# The configuration of the values behind the generated parse corpora.
+SERIAL_CFG = FuzzConfig(cases=0, max_period=4, max_entries=3, atom_universe=3)
+
+
+def mutate_once(rng, text):
+    """``text`` with one character deleted or inserted at a random place,
+    or truncated there."""
+    at = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:at] + text[at + 1:]
+    if kind == 1:
+        return text[:at] + rng.choice(MUTATION_ALPHABET) + text[at:]
+    return text[:at]
+
+
 def mutated_texts(seed, n):
     """``n`` canonical texts of ``gen_serial_value`` values, each hit by 1-3
     single-character deletions, insertions or truncations.  Every draw
     comes from ``stream(seed, i)``, so the texts are the same on every run."""
-    cfg = FuzzConfig(cases=0, max_period=4, max_entries=3, atom_universe=3)
     texts = []
     for i in range(n):
         rng = stream(seed, i)
-        text = to_text(gen_serial_value(rng, cfg))
+        text = to_text(gen_serial_value(rng, SERIAL_CFG))
         for _ in range(rng.randint(1, 3)):
-            at = rng.randrange(len(text) + 1)
-            kind = rng.randrange(3)
-            if kind == 0:
-                text = text[:at] + text[at + 1:]
-            elif kind == 1:
-                text = text[:at] + rng.choice(MUTATION_ALPHABET) + text[at:]
-            else:
-                text = text[:at]
+            text = mutate_once(rng, text)
         texts.append(text)
+    return texts
+
+
+# Every character for which str.isspace is true, in code point order.
+WHITESPACE = "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
+
+
+def whitespace_texts(seed, n):
+    """``n`` canonical texts of ``gen_serial_value`` values in which each
+    single space becomes a run of 1-3 characters of WHITESPACE, and on a
+    coin each side of each parenthesis gets such a run too.  Half of the
+    texts are then hit by one :func:`mutate_once` edit.  Every draw comes
+    from ``stream(seed, i)``."""
+    texts = []
+    for i in range(n):
+        rng = stream(seed, i)
+
+        def run():
+            return "".join(rng.choice(WHITESPACE) for _ in range(rng.randint(1, 3)))
+
+        parts = []
+        for c in to_text(gen_serial_value(rng, SERIAL_CFG)):
+            if c == " ":
+                parts.append(run())
+            elif c in "()":
+                parts.extend((run() if rng.coin() else "", c, run() if rng.coin() else ""))
+            else:
+                parts.append(c)
+        text = "".join(parts)
+        texts.append(mutate_once(rng, text) if rng.coin() else text)
     return texts
 
 

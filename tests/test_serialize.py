@@ -33,7 +33,18 @@ from carveq.atoms import MAX_TAG_DEPTH
 from carveq.generators import gen_serial_value
 from carveq.serialize import _TOKEN
 
-from helpers import R1, R2, R3, R4, mutated_texts, option_like_texts, parse_outcome, reference_tokens
+from helpers import (
+    R1,
+    R2,
+    R3,
+    R4,
+    SERIAL_CFG,
+    mutated_texts,
+    option_like_texts,
+    parse_outcome,
+    reference_tokens,
+    whitespace_texts,
+)
 from strategies import SERIAL_KINDS, TOKEN_TEXTS
 
 # strings the printer would never emit, plus canonical ones
@@ -80,10 +91,9 @@ def test_print_parse_idempotent(vector):
 
 
 def test_parse_print_identity_on_random_codes():
-    cfg = FuzzConfig(cases=0, max_period=4, max_entries=3, atom_universe=3)
     for i in range(1200):
         rng = stream(31, i)
-        value = gen_serial_value(rng, cfg)
+        value = gen_serial_value(rng, SERIAL_CFG)
         assert parse_any(to_text(value)) == value
 
 
@@ -262,18 +272,34 @@ PARSE_OUTCOMES_MD5 = "cab5c091ae7a27d054973b308adb0e33"
 def parse_corpus():
     """Mutated and option-like texts, and every third-character prefix of
     300 canonical texts together with the whole text."""
-    cfg = FuzzConfig(cases=0, max_period=4, max_entries=3, atom_universe=3)
     texts = mutated_texts(7, 2000) + option_like_texts(7, 500)
     for i in range(300):
-        text = to_text(gen_serial_value(stream(13, i), cfg))
+        text = to_text(gen_serial_value(stream(13, i), SERIAL_CFG))
         texts.extend(text[:k] for k in range(0, len(text), 3))
         texts.append(text)
     return texts
 
 
-def test_parse_outcomes_are_pinned():
+def outcomes_digest(texts):
+    """md5 of the outcome line of every parse entry point on every text."""
     digest = hashlib.md5()
-    for text in parse_corpus():
+    for text in texts:
         for entry in (parse_atom, parse_aseq, parse_binseq, parse_ppoint, parse_any):
             digest.update(parse_outcome(text, entry).encode() + b"\n")
-    assert digest.hexdigest() == PARSE_OUTCOMES_MD5
+    return digest.hexdigest()
+
+
+def test_parse_outcomes_are_pinned():
+    assert outcomes_digest(parse_corpus()) == PARSE_OUTCOMES_MD5
+
+
+# md5 of every entry point's outcome over whitespace_texts(17, 2000),
+# computed once with the regex tokenizer.  The texts behind
+# PARSE_OUTCOMES_MD5 separate tokens with only " ", "\t" and "\u3000";
+# these use every str.isspace character.  Never recompute it to make this
+# test pass.
+WHITESPACE_OUTCOMES_MD5 = "2f5d855917741afcff0f7bf8a177b439"
+
+
+def test_whitespace_outcomes_are_pinned():
+    assert outcomes_digest(whitespace_texts(17, 2000)) == WHITESPACE_OUTCOMES_MD5
