@@ -12,6 +12,8 @@ Grammar (whitespace-insensitive between tokens):
 Tokens are parentheses and maximal runs of characters that are neither
 parentheses nor whitespace, where whitespace is ``str.isspace`` (Unicode
 included).  Error positions count characters from the start of the text.
+The parser pads each parenthesis with spaces and splits the text with
+``str.split()``, which splits on exactly the ``str.isspace`` characters.
 
 The printer emits canonical forms (single spaces, lowest terms, primitive
 words, normalized pullbacks); the parser builds values through the normal
@@ -29,9 +31,6 @@ from .codes import CycW, Cyclic, PairMerge, Pullback, YSeq, ZCode, pullback
 from .errors import ParseError
 from .relations import PPoint
 
-# On a str pattern \s matches exactly the characters for which str.isspace
-# is true.
-_TOKEN = re.compile(r"[()]|[^\s()]+")
 _INT = re.compile(r"-?\d+")
 _POSINT = re.compile(r"\d+")
 _BIT = re.compile(r"[01]")
@@ -75,6 +74,12 @@ class _Parser:
     ``""``: no token is empty, so the sentinel matches nothing, and each
     read is an index into the tuple with no end check of its own.
 
+    The tokens are the words of the text once each parenthesis is padded
+    with spaces.  ``str.split()`` splits on exactly the characters for
+    which ``str.isspace`` is true, so a padded parenthesis is a token of
+    its own and every other token is a maximal run of characters that are
+    neither parentheses nor whitespace, as the grammar defines them.
+
     ``rationals`` maps the five tokens of each rational atom parsed so far
     in this text, ``( rat N D )``, to its value.  :meth:`atom` looks up the
     five tokens at ``pos`` first, so a repeated rational text is parsed
@@ -84,16 +89,20 @@ class _Parser:
 
     def __init__(self, text):
         self.text = text
-        self.tokens = (*_TOKEN.findall(text), "")
+        self.tokens = (*text.replace("(", " ( ").replace(")", " ) ").split(), "")
         self.pos = 0
         self.last_span = self.last_aseq = None
         self.rationals = {}
 
     def error(self, message):
         """Raise at the start of token ``pos``, the end of the text at the
-        sentinel: found by scanning again, as only a failing parse needs it."""
-        starts = [m.start() for m in _TOKEN.finditer(self.text)]
-        raise ParseError(message, (starts + [len(self.text)])[self.pos])
+        sentinel.  Only whitespace lies between two tokens and no token
+        holds any, so finding each token from the end of the one before
+        lands on its own start; only a failing parse pays for the walk."""
+        text, tokens, at = self.text, self.tokens, 0
+        for tok in tokens[:self.pos]:
+            at = text.find(tok, at) + len(tok)
+        raise ParseError(message, text.find(tokens[self.pos], at) if tokens[self.pos] else len(text))
 
     def fail(self, message):
         """Raise ``message``, or ``unexpected end of input`` at the sentinel."""

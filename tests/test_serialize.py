@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from carveq import (
 )
 from carveq.atoms import MAX_TAG_DEPTH
 from carveq.generators import gen_serial_value
-from carveq.serialize import _TOKEN
+from carveq.serialize import _Parser
 
 from helpers import (
     R1,
@@ -39,6 +40,7 @@ from helpers import (
     R3,
     R4,
     SERIAL_CFG,
+    WHITESPACE,
     mutated_texts,
     option_like_texts,
     parse_outcome,
@@ -136,6 +138,8 @@ def test_parse_errors_carry_positions():
         (parse_any, "(cw 10", "unexpected end of input", 6),
         (parse_any, "cw 1)", "expected '(', found 'cw'", 0),
         (parse_any, "(cw 10 1)", "expected ')', found '1'", 7),
+        # The token '1' also occurs inside the '11' before it.
+        (parse_any, "(rat 11 1 1)", "expected ')', found '1'", 10),
         (parse_any, "(cw 10) junk", "trailing input after complete form", 8),
         (parse_any, "()", "expected a keyword after '('", 1),
         (parse_any, "(unknown 1)", "unknown form keyword 'unknown'", 1),
@@ -181,10 +185,46 @@ def test_parse_errors_carry_positions():
 
 @settings(derandomize=True, max_examples=500)
 @given(TOKEN_TEXTS)
-def test_token_regex_matches_reference_tokenizer(text):
+def test_tokens_and_error_positions_match_reference_tokenizer(text):
     expected = reference_tokens(text)
-    assert [(m.group(), m.start()) for m in _TOKEN.finditer(text)] == expected
-    assert _TOKEN.findall(text) == [tok for tok, _ in expected]
+    parser = _Parser(text)
+    assert list(parser.tokens[:-1]) == [tok for tok, _ in expected]
+    for pos, start in enumerate([start for _, start in expected] + [len(text)]):
+        parser.pos = pos
+        with pytest.raises(ParseError) as err:
+            parser.error("probe")
+        assert err.value.position == start
+
+
+def wrapped(chars, left, right):
+    """``left + c + right`` for each character c of ``chars``, joined by
+    spaces: the empty string matches between every two characters and at
+    both ends, and each end's partial separator is cut off."""
+    return chars.replace("", right + " " + left)[len(right) + 1:-len(left) - 1]
+
+
+def test_every_code_point_tokenizes_as_the_reference():
+    """For every code point c, "a" + c + "b" and "(" + c + ")" give the
+    reference tokens.  The reference reads c only through ``c.isspace()``
+    and ``c in "()"``, so it runs on each whitespace character and
+    parenthesis, and every other c gets the tokens of "x" with c in place
+    of the x.  Those are tokenized one block of 2**16 code points at a
+    time, wrapped and joined by spaces, and compared as their count and
+    their join by spaces, which is exact because no reference token holds
+    a space."""
+    special = WHITESPACE + "()"
+    drop = dict.fromkeys(map(ord, special))
+    starts = range(0, sys.maxunicode + 1, 1 << 16)
+    blocks = ["".join(map(chr, range(lo, lo + (1 << 16)))).translate(drop) for lo in starts]
+    for left, right in ("ab", "()"):
+        for c in special:
+            text = left + c + right
+            assert list(_Parser(text).tokens[:-1]) == [tok for tok, _ in reference_tokens(text)]
+        template = [tok for tok, _ in reference_tokens(left + "x" + right)]
+        pre, post = " ".join(template).split("x")
+        for run in blocks:
+            tokens = _Parser(wrapped(run, left, right)).tokens[:-1]
+            assert (len(tokens), " ".join(tokens)) == (len(template) * len(run), wrapped(run, pre, post))
 
 
 def test_parse_ppoint_validates():
