@@ -84,29 +84,53 @@ def test_jump_examples():
     assert jj.decide(za, zb)
 
 
+def reshuffled(rng, code, row=lambda entry: entry):
+    """``code``'s entries shuffled, each passed through ``row``, with one of
+    them repeated: a code that the jump relates to ``code`` when ``row``
+    keeps each entry's class."""
+    entries = [row(entry) for entry in rng.shuffle(code.entries)]
+    entries.append(rng.choice(entries))
+    return type(code)(tuple(entries))
+
+
+def assert_both_verdicts_common(verdicts):
+    """Each verdict decides at least a third of the pairs, so an oracle
+    test sees enough related pairs to tell a wrong key from a right one."""
+    assert min(verdicts.count(True), verdicts.count(False)) >= len(verdicts) / 3
+
+
 def test_jump_matches_partition_oracle():
     j = jump(ATOM_EQ)
+    verdicts = []
     for i in range(300):
         rng = stream(41, i)
         u = gen_cyclic(rng, CFG.universe(), 4)
-        v = gen_cyclic(rng, CFG.universe(), 4)
+        v = reshuffled(rng, u) if rng.coin() else gen_cyclic(rng, CFG.universe(), 4)
         classes = partition_classes(list(u.entries) + list(v.entries), lambda a, b: a == b)
         reps_u = {id(c) for c in classes for a in u.entries if a in c}
         reps_v = {id(c) for c in classes for a in v.entries if a in c}
-        assert j.decide(u, v) == (reps_u == reps_v)
+        verdicts.append(j.decide(u, v))
+        assert verdicts[-1] == (reps_u == reps_v)
+    assert_both_verdicts_common(verdicts)
 
 
 def test_jump_of_f_matches_partition_oracle():
     jf = jump(F_REL)
+    verdicts = []
     for i in range(200):
         rng = stream(42, i)
         u = gen_zcode(rng, CFG.universe(), 3, 4)
-        v = gen_zcode(rng, CFG.universe(), 3, 4)
+        if rng.coin():
+            v = reshuffled(rng, u, lambda row: Cyclic(tuple(rng.shuffle(row.entries))))
+        else:
+            v = gen_zcode(rng, CFG.universe(), 3, 4)
         rows = list(u.entries) + list(v.entries)
         classes = partition_classes(rows, rel_F)
         reps_u = {id(c) for c in classes for r in u.entries if any(r is m for m in c)}
         reps_v = {id(c) for c in classes for r in v.entries if any(r is m for m in c)}
-        assert jf.decide(u, v) == (reps_u == reps_v)
+        verdicts.append(jf.decide(u, v))
+        assert verdicts[-1] == (reps_u == reps_v)
+    assert_both_verdicts_common(verdicts)
 
 
 @st.composite
