@@ -11,9 +11,9 @@ Grammar (whitespace-insensitive between tokens):
 
 Tokens are parentheses and maximal runs of characters that are neither
 parentheses nor whitespace, where whitespace is ``str.isspace`` (Unicode
-included).  Error positions count characters from the start of the text.
-The parser pads each parenthesis with spaces and splits the text with
-``str.split()``, which splits on exactly the ``str.isspace`` characters.
+included).  The parser finds them with ``str.split()`` once it pads each
+parenthesis with spaces.  Error positions count characters from the start
+of the text.
 
 The printer emits canonical forms (single spaces, lowest terms, primitive
 words, normalized pullbacks); the parser builds values through the normal
@@ -74,11 +74,11 @@ class _Parser:
     ``""``: no token is empty, so the sentinel matches nothing, and each
     read is an index into the tuple with no end check of its own.
 
-    The tokens are the words of the text once each parenthesis is padded
-    with spaces.  ``str.split()`` splits on exactly the characters for
-    which ``str.isspace`` is true, so a padded parenthesis is a token of
-    its own and every other token is a maximal run of characters that are
-    neither parentheses nor whitespace, as the grammar defines them.
+    The tokens are the words that ``str.split()`` finds once each
+    parenthesis is padded with spaces.  It splits on exactly the
+    ``str.isspace`` characters, which ``\\s`` in a str pattern also
+    matches, so they equal the matches of ``[()]|[^\\s()]+``
+    (``tests/test_serialize.py`` checks every code point).
 
     ``rationals`` maps the five tokens of each rational atom parsed so far
     in this text, ``( rat N D )``, to its value.  :meth:`atom` looks up the

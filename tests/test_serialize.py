@@ -10,7 +10,6 @@ from carveq import (
     ClauseViolation,
     CycW,
     Cyclic,
-    FuzzConfig,
     ParseError,
     PPoint,
     PairMerge,
