@@ -10,9 +10,7 @@ test are class-map checks through :func:`reductions.class_map_violations`.
 
 from .atoms import AtomSet
 from .codes import Cyclic, YSeq, binseq_class_rep, binseq_eq, iota, pullback, range_atoms, range_set
-from .generators import (
-    gen_covering_family, gen_infiber_families, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream,
-)
+from .generators import gen_covering_family, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream
 from .invariants import e_invariant, fs2_invariant
 from .reductions import (
     Violation, canonical_basepoint, case_violations, check_sampled, class_map_violations, fiber_reduction,
@@ -30,9 +28,9 @@ def _sampled(name, cfg, case, offset=0):
 
 
 def _cyclic_point(rng, cfg):
-    """A valid point realized over a cyclic first coordinate: one
-    realize_ppoint call, which redraws on the same stream until its cyclic
-    arm comes up and builds only that point."""
+    """A valid point realized over a cyclic first coordinate: a random base
+    and covering family, then one realize_ppoint call with its cyclic arm
+    forced."""
     base_atoms = gen_subset(rng, cfg.universe())
     family = gen_covering_family(rng, base_atoms, cfg.max_entries)
     return realize_ppoint(rng, base_atoms, family, cfg, cyclic=True)
@@ -118,15 +116,14 @@ def _converse_fails(pair):
 
 
 def _remark_pair(rng, cfg):
-    """(p1, p2): a random point and, on a coin, a second point over the
-    range set of p1.x, realized as the first point of an in-fiber pair whose
-    partner is never built; otherwise a second random point."""
+    """(p1, p2): a random point and, on a coin, a second point realized over
+    one covering family of the range set of p1.x, so the two share a range;
+    otherwise a second random point."""
     p1 = gen_ppoint(rng, cfg)
     if not rng.coin():
         return p1, gen_ppoint(rng, cfg)
     base_atoms = range_set(p1.x)
-    fam_p, _ = gen_infiber_families(rng, cfg, base_atoms)
-    return p1, realize_ppoint(rng, base_atoms, fam_p, cfg)
+    return p1, realize_ppoint(rng, base_atoms, gen_covering_family(rng, base_atoms, cfg.max_entries), cfg)
 
 
 def _remark_case(rng, cfg):

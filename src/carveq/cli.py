@@ -73,7 +73,9 @@ def _print(text, stream=None):
     try:
         print(text, file=stream, flush=True)
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def _emit(report, fmt, passing):

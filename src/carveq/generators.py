@@ -112,8 +112,8 @@ def gen_cyclic(rng, pool, max_period, cover=False):
     return Cyclic(tuple(entries))
 
 
-def _zcode_rows(rng, pool, max_period, max_entries, cover=False):
-    """gen_zcode's draws: the row lists of its code, which is not built."""
+def gen_zcode(rng, pool, max_period, max_entries, cover=False):
+    """Random row code over ``pool``; with ``cover`` true, the union of row ranges is exactly the pool."""
     pool = tuple(pool)
     rows = rng.randint(1, max_entries)
     lists = [[rng.choice(pool) for _ in range(rng.randint(1, max_period))] for _ in range(rows)]
@@ -125,12 +125,7 @@ def _zcode_rows(rng, pool, max_period, max_entries, cover=False):
         missing = [a for a in pool if not any(a in row for row in lists)]
         for atom in missing:
             lists[rng.randrange(rows)].append(atom)
-    return lists
-
-
-def gen_zcode(rng, pool, max_period, max_entries, cover=False):
-    """Random row code over ``pool``; with ``cover`` true, the union of row ranges is exactly the pool."""
-    return ZCode(tuple(Cyclic(tuple(row)) for row in _zcode_rows(rng, pool, max_period, max_entries, cover)))
+    return ZCode(tuple(Cyclic(tuple(row)) for row in lists))
 
 
 def gen_covering_family(rng, base_atoms, max_sets):
@@ -154,23 +149,16 @@ def realize_ppoint(rng, base_atoms, family, cfg, cyclic=False):
     normalize to words over cyclic bases.  Entry order is shuffled and
     entries may be duplicated, exercising set semantics.
 
-    With ``cyclic`` true the point is the first cyclic one of repeated
-    realizations on ``rng``: a draw that comes up pair-merge makes all its
-    draws (shuffle, duplicate coin, arm coin, row lists) but builds no row
-    code or point, so the result and the stream left behind equal those of
-    calling this until the first coordinate is cyclic.
+    With ``cyclic`` true the first coordinate is cyclic and no arm coin is
+    drawn: every draw made goes into the point built.
     """
-    while True:
-        entries_sets = rng.shuffle(family)
-        if rng.coin():
-            entries_sets.append(rng.choice(family))
-        if rng.coin():
-            x = gen_cyclic(rng, base_atoms, cfg.max_period, cover=True)
-            break
-        if not cyclic:
-            x = PairMerge(gen_zcode(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=True))
-            break
-        _zcode_rows(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=True)
+    entries_sets = rng.shuffle(family)
+    if rng.coin():
+        entries_sets.append(rng.choice(family))
+    if cyclic or rng.coin():
+        x = gen_cyclic(rng, base_atoms, cfg.max_period, cover=True)
+    else:
+        x = PairMerge(gen_zcode(rng, base_atoms, cfg.max_period, cfg.max_entries, cover=True))
     y = YSeq(tuple(pullback(x, aset) for aset in entries_sets))
     return PPoint(x, y)
 

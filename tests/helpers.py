@@ -31,7 +31,7 @@ from carveq import (
     stream,
     value_at,
 )
-from carveq.generators import gen_binseq, gen_serial_value, realize_ppoint
+from carveq.generators import gen_binseq, gen_serial_value
 from carveq.serialize import to_text
 
 R1, R2, R3, R4, R5, R6 = (Rational(i, 1) for i in range(1, 7))
@@ -271,15 +271,6 @@ def reference_membership(x, y):
         if not any(v in carved for carved in carves):
             return ClauseViolation, 1, (m,)
     return tuple(carves)
-
-
-def reference_cyclic_point(rng, base_atoms, family, cfg):
-    """Realize whole points on ``rng`` until one has a cyclic first
-    coordinate, building and dropping every pair-merge point on the way."""
-    while True:
-        p = realize_ppoint(rng, base_atoms, family, cfg)
-        if isinstance(p.x, Cyclic):
-            return p
 
 
 def enumerate_points(universe, max_period):

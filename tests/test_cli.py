@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from carveq import (
-    CycW, FuzzConfig, PPoint, Rational, StructuralMismatch, YSeq, ZCode, campaigns, fs2_invariant, invariants,
+    CycW, FuzzConfig, PPoint, Rational, StructuralMismatch, YSeq, ZCode, campaigns, cli, fs2_invariant, invariants,
     parse_any, reductions, rel_G, stream, to_text,
 )
 from carveq.cli import main
@@ -270,7 +270,7 @@ def test_fiber_campaigns_validate_only_the_points_they_check(monkeypatch):
 
 
 def test_identity_builds_no_row_code(monkeypatch):
-    # A pair-merge draw that the cyclic arm throws away makes its row lists only.
+    # Identity's points are cyclic by construction: no row code is drawn or built.
     built = []
     validate = ZCode.__post_init__
     monkeypatch.setattr(ZCode, "__post_init__", lambda self: built.append(self) or validate(self))
@@ -593,6 +593,31 @@ def run_on_a_closed_pipe(argv, stderr):
         return subprocess.run([sys.executable, "-m", "carveq", *argv], stdin=subprocess.DEVNULL, stdout=write,
                               stderr=write if stderr is None else stderr, env=env, timeout=60)
     finally:
+        os.close(write)
+
+
+def test_broken_pipe_closes_the_devnull_descriptor(monkeypatch):
+    class BrokenStream:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return self.fd
+
+    opened = []
+    real_open = os.open
+    monkeypatch.setattr(os, "open", lambda *args: opened.append(real_open(*args)) or opened[-1])
+    read, write = os.pipe()
+    try:
+        cli._print("text", BrokenStream(write))
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull)) and len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
+    finally:
+        os.close(read)
         os.close(write)
 
 

@@ -13,6 +13,10 @@ from carveq import (
     SplitMix64,
     Tag,
     WordAtom,
+    YSeq,
+    campaigns,
+    pullback,
+    range_set,
     rel_E,
     stream,
     to_text,
@@ -20,14 +24,13 @@ from carveq import (
 from carveq.invariants import e_invariant
 from carveq.generators import (
     gen_covering_family,
+    gen_cyclic,
     gen_infiber_families,
     gen_infiber_pair,
     gen_ppoint,
     gen_subset,
     realize_ppoint,
 )
-
-from helpers import reference_cyclic_point
 
 
 def test_splitmix_reference_values():
@@ -142,20 +145,42 @@ def test_realize_ppoint_preserves_intended_family():
         assert e_invariant(p) == canonical_family(family)
 
 
-def test_cyclic_realization_equals_redrawing_whole_points():
+def test_cyclic_realization_draws_only_the_point_it_builds():
+    # The twin builds the point by hand from exactly the draws it uses: a
+    # shuffle, the duplicate coin (and its choice), a covering cyclic code.
     cfg = FuzzConfig(cases=0)
-    redrawn = 0
+    pairmerge = 0
     for i in range(2000):
         rng = stream(313, i)
         base = gen_subset(rng, cfg.universe())
         family = gen_covering_family(rng, base, cfg.max_entries)
         twin, plain = copy.copy(rng), copy.copy(rng)
         p = realize_ppoint(rng, base, family, cfg, cyclic=True)
-        assert isinstance(p.x, Cyclic)
-        assert p == reference_cyclic_point(twin, base, family, cfg)
+        entries = twin.shuffle(family)
+        if twin.coin():
+            entries.append(twin.choice(family))
+        x = gen_cyclic(twin, base, cfg.max_period, cover=True)
+        assert p == PPoint(x, YSeq(tuple(pullback(x, aset) for aset in entries)))
         assert rng.next_u64() == twin.next_u64()
-        redrawn += isinstance(realize_ppoint(plain, base, family, cfg).x, PairMerge)
-    assert redrawn > 500
+        pairmerge += isinstance(realize_ppoint(plain, base, family, cfg).x, PairMerge)
+    assert pairmerge > 500
+
+
+def test_remark_pair_realizes_one_covering_family():
+    cfg = FuzzConfig(cases=0)
+    infiber = 0
+    for i in range(1000):
+        rng, twin = stream(313, i), stream(313, i)
+        p1, p2 = campaigns._remark_pair(rng, cfg)
+        assert gen_ppoint(twin, cfg) == p1
+        if twin.coin():
+            infiber += 1
+            base = range_set(p1.x)
+            assert realize_ppoint(twin, base, gen_covering_family(twin, base, cfg.max_entries), cfg) == p2
+        else:
+            assert gen_ppoint(twin, cfg) == p2
+        assert rng.next_u64() == twin.next_u64()
+    assert infiber > 300
 
 
 def test_infiber_families_give_the_pairs_first_point():

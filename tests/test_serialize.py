@@ -129,6 +129,25 @@ def test_overlong_integer_is_a_parse_error():
     assert err.value.position == 15
 
 
+def test_integer_digits_are_the_decimal_characters():
+    """An integer's digits are the str.isdecimal characters, which int()
+    converts and the printer writes back in ASCII.  A numeric character that
+    is not decimal, such as a superscript two, is not a digit."""
+    assert to_text(parse_any("(rat ٣ 1)")) == "(rat 3 1)"
+    numeric = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isnumeric()]
+    decimal = 0
+    for c in numeric:
+        text = f"(rat {c} 1)"
+        if c.isdecimal():
+            decimal += 1
+            assert parse_any(text) == Rational(int(c), 1)
+            continue
+        with pytest.raises(ParseError) as err:
+            parse_any(text)
+        assert str(err.value) == f"expected an integer, found {c!r} (at position 5)"
+    assert "²" in numeric and 0 < decimal < len(numeric)
+
+
 def test_parse_errors_carry_positions():
     deep = "(tag 0 " * (MAX_TAG_DEPTH + 1) + "(rat 1 1)" + ")" * (MAX_TAG_DEPTH + 1)
     for entry, text, message, position in [
