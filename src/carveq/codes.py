@@ -175,20 +175,21 @@ class Pullback(_kept("_rep")):
 def pullback(base, aset):
     """Normalized binary-sequence code for k -> [value_at(base, k) in aset].
 
-    The set is clipped to the base range (:func:`range_atoms`): the kept
+    A cyclic base is evaluated through to a word of one base period, bit i
+    saying whether entry i is in the set; the word's primitive root makes
+    an all-0 or all-1 word the constant word.  For a pair-merge base the
+    set is clipped to the base range (:func:`range_atoms`): the kept
     elements are a filter of the canonical tuple, so they stay canonical
-    without sorting again.  An empty or full clip yields the constant word,
-    and a cyclic base is evaluated through to a word of one base period.
+    without sorting again.  An empty or full clip yields the constant word.
     """
+    if isinstance(base, Cyclic):
+        return CycW(CyclicWord("".join("1" if a in aset.elements else "0" for a in base.entries)))
     rng = range_atoms(base)
     kept = tuple(a for a in aset.elements if a in rng)
     if not kept:
         return CycW(CyclicWord("0"))
     if len(kept) == len(rng):
         return CycW(CyclicWord("1"))
-    if isinstance(base, Cyclic):
-        bits = "".join("1" if a in kept else "0" for a in base.entries)
-        return CycW(CyclicWord(bits))
     return Pullback(base, AtomSet._trusted(kept))
 
 

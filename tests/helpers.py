@@ -56,6 +56,20 @@ def binseq_sample(seed, cfg):
     return [gen_binseq(stream(seed, i), cfg) for i in range(300)]
 
 
+def reference_splitmix64(seed, n):
+    """The first ``n`` draws of SplitMix64 seeded with ``seed``, one 64-bit
+    state step and mix at a time."""
+    mask = (1 << 64) - 1
+    state, draws = seed & mask, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        draws.append(z ^ (z >> 31))
+    return draws
+
+
 def agree_below(u, v, bound):
     """Pointwise agreement of two binary-sequence codes below ``bound``."""
     return all(binseq_value_at(u, k) == binseq_value_at(v, k) for k in range(bound))

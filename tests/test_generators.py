@@ -25,22 +25,64 @@ from carveq.invariants import e_invariant
 from carveq.generators import (
     gen_covering_family,
     gen_cyclic,
-    gen_infiber_families,
     gen_infiber_pair,
     gen_ppoint,
     gen_subset,
     realize_ppoint,
 )
+from helpers import reference_splitmix64
 
 
 def test_splitmix_reference_values():
-    # published SplitMix64 stream for seed 1234567
+    # published SplitMix64 stream for seed 1234567; draws 17 and 40 lie in
+    # the second and third blocks
     rng = SplitMix64(1234567)
-    assert [rng.next_u64() for _ in range(3)] == [
+    draws = [rng.next_u64() for _ in range(40)]
+    assert draws[:3] == [
         6457827717110365317,
         3203168211198807973,
         9817491932198370423,
     ]
+    assert (draws[16], draws[39]) == (13784947483123421444, 2166771135840556817)
+
+
+SPLITMIX_SEEDS = (0, 1, -1, -12345, 2**64 - 1, 2**64, 2**70 + 3, 1234567)
+
+
+@pytest.mark.parametrize("seed", SPLITMIX_SEEDS)
+def test_splitmix_blocks_equal_the_scalar_generator(seed):
+    # 100 draws cross six block boundaries
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(100)] == reference_splitmix64(seed, 100)
+
+
+@pytest.mark.parametrize("seed", SPLITMIX_SEEDS)
+def test_streams_reseed_through_one_draw(seed):
+    mask, golden = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    for index in (0, 1, 7, 10**6):
+        old = SplitMix64(SplitMix64((seed ^ (index * golden)) & mask).next_u64())
+        new = stream(seed, index)
+        assert [new.next_u64() for _ in range(40)] == [old.next_u64() for _ in range(40)]
+
+
+@pytest.mark.parametrize("offset", (0, 1, 15, 16, 17))
+def test_splitmix_copies_draw_on_independently(offset):
+    rng = SplitMix64(2**70 + 3)
+    for _ in range(offset):
+        rng.next_u64()
+    twin = copy.copy(rng)
+    # the original runs ahead through a block boundary before the twin draws
+    ahead = [rng.next_u64() for _ in range(40)]
+    assert [twin.next_u64() for _ in range(40)] == ahead
+    assert ahead == reference_splitmix64(2**70 + 3, offset + 40)[offset:]
+
+
+def test_randrange_refuses_an_empty_range():
+    rng = SplitMix64(0)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rng.randrange(n)
+    assert rng.next_u64() == reference_splitmix64(0, 1)[0]
 
 
 def test_streams_are_deterministic_and_independent():
@@ -187,8 +229,12 @@ def test_infiber_families_give_the_pairs_first_point():
     cfg = FuzzConfig(cases=0)
     for i in range(500):
         rng, twin = stream(317, i), stream(317, i)
-        p, _, related = gen_infiber_pair(rng, cfg, gen_subset(rng, cfg.universe()))
+        p, q, related = gen_infiber_pair(rng, cfg, gen_subset(rng, cfg.universe()))
+        # the twin draws both families by hand, then realizes p and q
         base = gen_subset(twin, cfg.universe())
-        fam_p, fam_q = gen_infiber_families(twin, cfg, base)
+        fam_p = gen_covering_family(twin, base, cfg.max_entries)
+        fam_q = fam_p if twin.coin() else gen_covering_family(twin, base, cfg.max_entries)
         assert realize_ppoint(twin, base, fam_p, cfg) == p
+        assert realize_ppoint(twin, base, fam_q, cfg) == q
         assert related == (frozenset(fam_p) == frozenset(fam_q))
+        assert rng.next_u64() == twin.next_u64()
