@@ -50,7 +50,6 @@ from .invariants import (
     closed_form,
     count_classes,
     e_invariant,
-    f_invariant,
     fs2_invariant,
     g_invariant,
 )

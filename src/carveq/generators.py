@@ -107,8 +107,9 @@ def stream(seed, index):
 # at this bound every target and chain take at most 0.1 s per case and
 # 17 MB in all (20 cases each, seeds 0-2, 2-core VM).  claim sets that
 # figure; embed and chain take at most 0.03 s per case, since the double
-# jump reads keys, but G still decides by scanning pairs of entries.  The
-# tests, README and benchmark use at most 9.
+# jump reads keys, but rel_G, the one pair scan left among the relation
+# decisions, still compares every pair of entries.  The tests, README and
+# benchmark use at most 9.
 MAX_SIZE = 100
 
 

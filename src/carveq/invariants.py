@@ -8,12 +8,7 @@ from operator import or_
 from .atoms import AtomSet, Rational, canonical_family
 from .codes import Cyclic, YSeq, binseq_class_rep, pullback, range_set
 from .errors import ResourceLimit
-from .relations import PPoint, carve_family
-
-
-def f_invariant(x):
-    """Complete invariant for range equality: the range set itself."""
-    return range_set(x)
+from .relations import F_REL, PPoint, carve_family
 
 
 def e_invariant(p):
@@ -77,10 +72,10 @@ def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
     """Brute-force class count over the n-atom universe.
 
     Level F enumerates every cyclic code with period <= n and deduplicates
-    by range set.  Longer periods add no class: a code's range has at most
-    as many atoms as its period, and every nonempty subset S of the
-    universe is the range of its sorted enumeration, a code of period
-    |S| <= n.
+    by F's key, the range as a frozenset.  Longer periods add no class: a
+    code's range has at most as many atoms as its period, and every
+    nonempty subset S of the universe is the range of its sorted
+    enumeration, a code of period |S| <= n.
 
     Level E enumerates each nonempty family of nonempty subsets of the
     universe once, as a set, since entry order and multiplicity never
@@ -110,7 +105,7 @@ def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
         for length in range(1, n + 1):
             for combo in itertools.product(universe, repeat=length):
                 budget.spend(length)
-                seen.add(f_invariant(Cyclic(combo)))
+                seen.add(F_REL.key(Cyclic(combo)))
         return len(seen)
 
     budget = _Budget(cap, (closed_form("E", r) - closed_form("E", r - 1) for r in range(1, n + 1)))

@@ -32,7 +32,7 @@ class EqRelHandle:
 
     ``key``, when set, is a complete invariant: a function to hashable
     values with ``decide(u, v) == (key(u) == key(v))`` on the whole domain.
-    :func:`jump` decides a keyed relation's jump by comparing key sets.
+    :func:`jump` needs it: the jump is decided by comparing key sets.
     """
 
     name: str
@@ -50,35 +50,25 @@ def jump(e):
     """The jump of a relation: sequence codes are related iff their entries
     hit the same set of classes of ``e``.
 
-    This is the Friedman–Stanley jump (Friedman & Stanley, JSL 1989), the
-    one operator behind ``rel_G``, the one-entry embedding of a relation
+    This is the Friedman–Stanley jump (Friedman & Stanley, JSL 1989) that
+    defines G, and the operator behind the one-entry embedding of a relation
     into its jump and the double-jump embedding of row codes into E.  The
     defining condition quantifies entry indices over all of N; entries
     repeat cyclically, so ranging over the finite entry lists is sound and
     complete.  Operands are any cyclic entry-list codes over e's domain.
 
-    A keyed e (see :class:`EqRelHandle`) gives a keyed jump: the key of u
-    is the frozenset of its entries' keys, and two codes relate iff those
-    sets are equal, |u| + |v| key reads with no pair loop.  A keyless e
-    takes the forall/exists test both ways, up to 2·|u|·|v| decisions.
-    G takes that route: ``BINSEQ_EQ`` has a complete key in
-    ``binseq_class_rep``, but perfbench counts G's decisions at the arms
-    of ``binseq_eq``, so G waits to be keyed until the benchmark counts
-    the representative's arms instead.
+    e must be keyed (see :class:`EqRelHandle`), and its jump is keyed too:
+    the key of u is the frozenset of its entries' keys, and two codes
+    relate iff those sets are equal, |u| + |v| key reads with no pair loop.
+    A keyless e raises ValueError.
     """
-    if e.key is not None:
+    if e.key is None:
+        raise ValueError(f"jump needs a keyed relation; {e.name!r} has no key")
 
-        def key(u):
-            return frozenset(map(e.key, u.entries))
+    def key(u):
+        return frozenset(map(e.key, u.entries))
 
-        return EqRelHandle(name=e.name + "+", decide=lambda u, v: key(u) == key(v), key=key)
-
-    def decide(u, v):
-        return all(any(e.decide(a, b) for b in v.entries) for a in u.entries) and all(
-            any(e.decide(b, a) for a in u.entries) for b in v.entries
-        )
-
-    return EqRelHandle(name=e.name + "+", decide=decide)
+    return EqRelHandle(name=e.name + "+", decide=lambda u, v: key(u) == key(v), key=key)
 
 
 def product(e1, e2):
@@ -102,14 +92,18 @@ def rel_F(x, x2):
 F_REL = EqRelHandle("F", rel_F, key=range_atoms)
 
 
-BINSEQ_EQ = EqRelHandle("binseq_eq", binseq_eq)
-_G_JUMP = jump(BINSEQ_EQ)
-
-
 def rel_G(y, y2):
     """Jump of binary-sequence equality on entry lists: every entry of each
-    side denotes the same sequence as some entry of the other."""
-    return _G_JUMP.decide(y, y2)
+    side denotes the same sequence as some entry of the other.
+
+    The forall/exists test both ways, up to 2·|y|·|y2| calls of
+    :func:`binseq_eq`: the last pair loop among the relation decisions.
+    It stays only while perfbench counts G's decisions at binseq_eq's
+    arms; once it counts those of ``binseq_class_rep``, a complete key,
+    G is ``jump`` of binseq_eq keyed by it, a one-line change.
+    """
+    u, v = y.entries, y2.entries
+    return all(any(binseq_eq(a, b) for b in v) for a in u) and all(any(binseq_eq(b, a) for a in u) for b in v)
 
 
 G_REL = EqRelHandle("G", rel_G)

@@ -137,17 +137,14 @@ class _Parser:
         return tok
 
     def integer(self, pattern, noun):
-        """int() of a digit token as :meth:`token` reads it; a token with
-        more digits than int() converts is a parse error at its position."""
-        tok = self.tokens[self.pos]
-        if not pattern.fullmatch(tok):
-            self.fail(f"expected {noun}, found {tok!r}")
+        """int() of a digit token read by :meth:`token`; a token with more
+        digits than int() converts is a parse error at its position."""
+        tok = self.token(pattern, noun)
         try:
-            value = int(tok)
+            return int(tok)
         except ValueError:
+            self.pos -= 1
             self.error(f"integer too long to convert ({len(tok)} characters)")
-        self.pos += 1
-        return value
 
     def atom(self, depth=0):
         start = self.pos

@@ -7,6 +7,7 @@ from carveq import (
     AtomSet,
     CycW,
     Cyclic,
+    F_REL,
     FuzzConfig,
     PPoint,
     PairMerge,
@@ -20,12 +21,12 @@ from carveq import (
     closed_form,
     count_classes,
     e_invariant,
-    f_invariant,
     fs2_invariant,
     g_invariant,
     jump,
     primitive_root,
     pullback,
+    range_set,
     rel_E,
     rel_F,
     rel_G,
@@ -67,17 +68,18 @@ def test_canonical_family():
     assert canonical_family(()) == ()
 
 
-def test_f_invariant_examples():
-    assert f_invariant(Cyclic((R2, R1))) == AtomSet.of(R1, R2)
+def test_f_key_examples():
     z = ZCode((Cyclic((R1,)), Cyclic((R1, R2))))
-    assert f_invariant(PairMerge(z)) == AtomSet.of(R1, R2)
+    for x in (Cyclic((R2, R1)), PairMerge(z)):
+        assert F_REL.key(x) == frozenset({R1, R2})
+        assert range_set(x) == AtomSet.of(R1, R2)
 
 
-def test_f_invariant_agrees_with_rel_f():
+def test_f_key_agrees_with_rel_f():
     for i in range(1000):
         rng = stream(101, i)
         x, x2 = gen_cyclic_pair(rng, CFG)
-        assert (f_invariant(x) == f_invariant(x2)) == rel_F(x, x2)
+        assert (F_REL.key(x) == F_REL.key(x2)) == rel_F(x, x2)
 
 
 def test_e_invariant_display_value():
@@ -323,17 +325,17 @@ def test_longer_periods_add_no_f_class(n):
     assert len(ranges(n)) == 2**n - 1 == count_classes("F", n)
 
 
-def test_f_invariant_separates_exhaustively():
+def test_f_key_separates_exhaustively():
     codes = [
         Cyclic(combo)
         for length in range(1, 4)
         for combo in itertools.product(UNIVERSE3, repeat=length)
     ]
     assert len(codes) == 39
-    by_invariant = partition_indexes(codes, f_invariant)
-    by_native = partition_indexes(codes, lambda c: frozenset(c.entries))
-    assert by_invariant == by_native
-    assert len(by_invariant) == 7
+    by_key = partition_indexes(codes, F_REL.key)
+    by_native = partition_indexes(codes, lambda c: sum(1 << UNIVERSE3.index(a) for a in set(c.entries)))
+    assert by_key == by_native == partition_indexes(codes, range_set)
+    assert len(by_key) == 7
 
 
 def test_e_invariant_separates_exhaustively():

@@ -62,9 +62,10 @@ from helpers import (
     naive_carve,
     naive_clause3_ok,
     partition_classes,
+    reference_binseq_eq,
     reference_membership,
 )
-from strategies import cyclics, zcodes
+from strategies import cyclics, yseqs, zcodes
 
 CFG = FuzzConfig(cases=0, atom_universe=4, max_period=5, max_entries=4)
 
@@ -171,6 +172,20 @@ def test_keyed_double_jump_matches_forall_exists(pair):
 @given(operand_pairs(zcodes))
 def test_keyed_jump_of_f_matches_forall_exists(pair):
     _keyed_jump_agrees(jump(F_REL), rel_F, pair)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(operand_pairs(yseqs))
+def test_rel_g_matches_forall_exists_of_reference_binseq_eq(pair):
+    u, v, related = pair
+    verdict = forall_exists(u.entries, v.entries, reference_binseq_eq)
+    assert rel_G(u, v) == verdict
+    assert verdict or not related
+
+
+def test_jump_of_a_keyless_relation_raises():
+    with pytest.raises(ValueError, match="'keyless'"):
+        jump(EqRelHandle("keyless", atom_eq))
 
 
 def test_keyed_jump_reads_each_key_once_and_never_decides():
