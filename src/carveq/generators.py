@@ -96,7 +96,10 @@ class SplitMix64:
 
 def stream(seed, index):
     """Independent substream for one case: reseed through one mixing round,
-    the first draw of a generator seeded with ``seed ^ index·golden``."""
+    the first draw of a generator seeded with ``seed ^ index·golden``.
+    ``seed`` and ``index`` must be ints; any other kind raises ``TypeError``."""
+    if not (isinstance(seed, int) and isinstance(index, int)):
+        raise TypeError(f"stream takes an int seed and index, not {type(seed).__name__} and {type(index).__name__}")
     return SplitMix64(_mix((seed ^ (index * _GOLDEN)) + _GOLDEN))
 
 

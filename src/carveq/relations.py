@@ -121,11 +121,12 @@ def _word_carve(x, word):
     whose index i is congruent mod g to some 1 bit of the word.  The
     witness is (at, pos) for the first position pos whose value was first
     seen at ``at`` with the other bit, or None when equal values always
-    carry equal bits.  Both m -> x(m) and the bit at m have period
-    lcm(P, L), so a clash lies below it or nowhere.  If none lies below P,
-    every position below P carries its value's first bit, and the first
-    clash is the first m >= P whose bit differs from the bit at m - P; that
-    test has period L in m, so the clash lies below P + L or nowhere.
+    carry equal bits.  A clash lies below P + L - g or nowhere: if none lies
+    below, the bits at m < P + L - g are a function c of x(m), so c(x(m))
+    has periods P and L there, and by the Fine–Wilf theorem (Fine & Wilf,
+    Proc. AMS 16, 1965) it has period g, which divides P and L; so the bit
+    at every m is c(x(m)).  The bound is tight: for every P and every L > 1
+    some x and word clash first at P + L - g - 1 (``tests/test_relations.py``).
 
     The mask, over a cyclic x, has bit i < P set iff index i meets a 1 bit,
     that is iff some 1 bit of the word is congruent to i mod g; a constant
@@ -165,7 +166,7 @@ def _word_carve(x, word):
                 ones.update(entries[r::g])
                 for i in range(r, period, g):
                     mask |= 1 << i
-        for pos in range(min(period * length // g, period + length)):
+        for pos in range(period + length - g):
             at = first_seen.setdefault(entries[pos % period], pos)
             if bits[at % length] != bits[pos % length]:
                 clash = (at, pos)

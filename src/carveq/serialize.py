@@ -24,17 +24,23 @@ entries share its value and what its slots keep.  So is a repeated rational
 text: its occurrences in one text share one ``Rational``.
 """
 
-import re
-
 from .atoms import MAX_TAG_DEPTH, AtomSet, Rational, Tag, WordAtom
 from .codes import CycW, Cyclic, PairMerge, Pullback, YSeq, ZCode, pullback
 from .errors import ParseError
 from .relations import PPoint
 
-_INT = re.compile(r"-?\d+")
-_POSINT = re.compile(r"\d+")
-_BIT = re.compile(r"[01]")
-_BITS = re.compile(r"[01]+")
+
+def _is_int(tok):
+    return tok.isdecimal() or tok[:1] == "-" and tok[1:].isdecimal()
+
+
+def _is_bit(tok):
+    return tok in ("0", "1")
+
+
+def _is_bits(tok):
+    """A nonempty run of 0 and 1; the sentinel ``""`` is not one."""
+    return tok != "" and not tok.strip("01")
 
 
 def to_text(value):
@@ -127,19 +133,21 @@ class _Parser:
         self.pos += 1
         return kw
 
-    def token(self, pattern, noun):
-        """Consume and return a token that ``pattern`` matches in full, or
-        raise ``expected <noun>, found <token>`` at it."""
+    def token(self, accepts, noun):
+        """Consume and return a token for which ``accepts`` is true, or
+        raise ``expected <noun>, found <token>`` at it.  A digit is a
+        ``str.isdecimal`` character, exactly what ``\\d`` matches in a str
+        pattern and what int() reads."""
         tok = self.tokens[self.pos]
-        if not pattern.fullmatch(tok):
+        if not accepts(tok):
             self.fail(f"expected {noun}, found {tok!r}")
         self.pos += 1
         return tok
 
-    def integer(self, pattern, noun):
+    def integer(self, accepts, noun):
         """int() of a digit token read by :meth:`token`; a token with more
         digits than int() converts is a parse error at its position."""
-        tok = self.token(pattern, noun)
+        tok = self.token(accepts, noun)
         try:
             return int(tok)
         except ValueError:
@@ -155,8 +163,8 @@ class _Parser:
             return value
         kw = self.open(("rat", "tag", "word"), "expected an atom keyword, found ")
         if kw == "rat":
-            num = self.integer(_INT, "an integer")
-            den = self.integer(_POSINT, "a positive integer")
+            num = self.integer(_is_int, "an integer")
+            den = self.integer(str.isdecimal, "a positive integer")
             if den == 0:
                 self.pos -= 1
                 self.error(f"expected a positive integer, found {self.tokens[self.pos]!r}")
@@ -164,12 +172,12 @@ class _Parser:
             value = self.rationals[key] = Rational(num, den)
             return value
         if kw == "tag":
-            bit = int(self.token(_BIT, "a bit"))
+            bit = int(self.token(_is_bit, "a bit"))
             if depth == MAX_TAG_DEPTH:
                 self.error(f"tags nested deeper than {MAX_TAG_DEPTH}")
             value = Tag(bit, self.atom(depth + 1))
         else:
-            value = WordAtom(self.token(_BITS, "a 0/1 string"))
+            value = WordAtom(self.token(_is_bits, "a 0/1 string"))
         self.expect(")")
         return value
 
@@ -214,7 +222,7 @@ class _Parser:
 
     def binseq(self):
         if self.open(("cw", "pull"), "expected a binary-sequence keyword, found ") == "cw":
-            value = CycW(self.token(_BITS, "a 0/1 string"))
+            value = CycW(self.token(_is_bits, "a 0/1 string"))
         else:
             value = pullback(self.aseq(), AtomSet(self.listed("set", self.atom, None)))
         self.expect(")")
@@ -274,5 +282,8 @@ def parse_ppoint(text):
 
 
 def parse_any(text):
-    """Parse any form of the grammar, dispatching on the leading keyword."""
+    """Parse any form of the grammar, dispatching on the leading keyword.
+    ``text`` must be a ``str``; any other kind raises ``TypeError``."""
+    if not isinstance(text, str):
+        raise TypeError(f"parse_any takes a str, not {type(text).__name__}")
     return _run(text, _Parser.any)

@@ -22,16 +22,18 @@ from carveq import (
     StructuralMismatch,
     YSeq,
     ZCode,
-    binseq_value_at,
-    cantor_pair,
     carve,
     pullback,
+    stream,
+)
+from carveq.codes import (
+    binseq_value_at,
     range_set,
     saturation_bound,
-    stream,
     value_at,
 )
 from carveq.generators import gen_binseq, gen_serial_value
+from carveq.pairing import cantor_pair
 from carveq.serialize import to_text
 
 R1, R2, R3, R4, R5, R6 = (Rational(i, 1) for i in range(1, 7))

@@ -22,8 +22,8 @@ from carveq import (
     YSeq,
     ZCode,
     pullback,
-    range_set,
 )
+from carveq.codes import range_set
 
 from helpers import R1, R2
 

@@ -11,7 +11,6 @@ from carveq import (
     AtomSet,
     CycW,
     Cyclic,
-    CyclicWord,
     PPoint,
     PairMerge,
     Rational,
@@ -19,14 +18,17 @@ from carveq import (
     WordAtom,
     YSeq,
     ZCode,
-    atom_eq,
-    atom_sort_key,
-    binseq_class_rep,
     binseq_eq,
-    primitive_root,
     pullback,
 )
-from carveq.atoms import MAX_TAG_DEPTH
+from carveq.atoms import (
+    CyclicWord,
+    MAX_TAG_DEPTH,
+    atom_eq,
+    atom_sort_key,
+    primitive_root,
+)
+from carveq.codes import binseq_class_rep
 from carveq.serialize import parse_atom, to_text
 
 from helpers import R1, R2

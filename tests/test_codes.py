@@ -15,21 +15,23 @@ from carveq import (
     WordAtom,
     YSeq,
     ZCode,
-    binseq_class_rep,
     binseq_eq,
+    pullback,
+    rel_F,
+    stream,
+)
+from carveq.codes import (
+    binseq_class_rep,
     binseq_value_at,
-    cantor_pair,
-    g_invariant,
     grid_cells,
     iota,
-    pullback,
     range_set,
-    rel_F,
     saturation_bound,
-    stream,
     value_at,
 )
 from carveq.generators import gen_binseq
+from carveq.invariants import g_invariant
+from carveq.pairing import cantor_pair
 
 from helpers import (
     BINSEQ_SAMPLES,

@@ -8,21 +8,20 @@ from carveq import (
     PPoint,
     AtomSet,
     PairMerge,
-    canonical_family,
     Rational,
-    SplitMix64,
     Tag,
     WordAtom,
     YSeq,
     campaigns,
     pullback,
-    range_set,
     rel_E,
     stream,
     to_text,
 )
-from carveq.invariants import e_invariant
+from carveq.atoms import canonical_family
+from carveq.codes import range_set
 from carveq.generators import (
+    SplitMix64,
     gen_covering_family,
     gen_cyclic,
     gen_infiber_pair,
@@ -30,6 +29,7 @@ from carveq.generators import (
     gen_subset,
     realize_ppoint,
 )
+from carveq.invariants import e_invariant
 from helpers import reference_splitmix64
 
 
@@ -92,6 +92,12 @@ def test_streams_are_deterministic_and_independent():
     assert a == b
     assert a != c
     assert len(set(a)) == 5
+
+
+def test_stream_refuses_a_non_int_seed_or_index():
+    for seed, index in ((1, "x"), ("x", 1), (1.5, 2), (1, None)):
+        with pytest.raises(TypeError, match="^stream takes an int seed and index, not "):
+            stream(seed, index)
 
 
 def test_fuzz_config_validation():

@@ -15,23 +15,20 @@ from carveq import (
     ResourceLimit,
     YSeq,
     ZCode,
-    binseq_class_rep,
     binseq_eq,
-    canonical_family,
     closed_form,
     count_classes,
     e_invariant,
     fs2_invariant,
-    g_invariant,
     jump,
-    primitive_root,
     pullback,
-    range_set,
     rel_E,
     rel_F,
     rel_G,
     stream,
 )
+from carveq.atoms import canonical_family, primitive_root
+from carveq.codes import binseq_class_rep, range_set
 from carveq.generators import (
     gen_binseq,
     gen_cyclic_pair,
@@ -40,6 +37,7 @@ from carveq.generators import (
     gen_yseq_pair,
     gen_zcode_pair,
 )
+from carveq.invariants import g_invariant
 
 from helpers import (
     BINSEQ_SAMPLES,

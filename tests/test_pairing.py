@@ -1,4 +1,4 @@
-from carveq import cantor_pair, cantor_unpair
+from carveq.pairing import cantor_pair, cantor_unpair
 
 
 def test_pinned_values():

@@ -7,13 +7,11 @@ from carveq import (
     AtomSet,
     CycW,
     Cyclic,
-    CyclicWord,
     DomainViolation,
     F_REL,
     FuzzConfig,
     PPoint,
     PairMerge,
-    ReductionRecord,
     StructuralMismatch,
     Tag,
     WordAtom,
@@ -21,25 +19,22 @@ from carveq import (
     ZCode,
     binseq_eq,
     campaigns,
-    canonical_basepoint,
     carve,
     chain_report,
     check_reduction,
-    const_jump_embedding,
     e_invariant,
     embed_fs2,
     fiber_reduction,
     fs2_invariant,
-    g_to_f,
     jump,
-    pair_interleave,
     pullback,
-    range_set,
     rel_E,
     rel_F,
     rel_G,
     stream,
 )
+from carveq.atoms import CyclicWord
+from carveq.codes import range_set
 from carveq.generators import (
     gen_cyclic_pair,
     gen_infiber_pair,
@@ -48,7 +43,17 @@ from carveq.generators import (
     gen_zcode_pair,
 )
 from carveq.reductions import (
-    check_sampled, class_map_violations, embed_fs2_record, link_status, run_cases, sampled_reductions,
+    ReductionRecord,
+    canonical_basepoint,
+    check_sampled,
+    class_map_violations,
+    const_jump_embedding,
+    embed_fs2_record,
+    g_to_f,
+    link_status,
+    pair_interleave,
+    run_cases,
+    sampled_reductions,
 )
 
 from helpers import R1, R2, R3, reference_star_violations
@@ -198,7 +203,8 @@ def test_fiber_reduction_full_iff():
 def test_fiber_reduction_witness_choice_irrelevant():
     # the produced bit must not depend on which witness index is scanned
     # first: recompute every output bit from the last witness instead
-    from carveq import CyclicWord, binseq_value_at, saturation_bound, value_at
+    from carveq.atoms import CyclicWord
+    from carveq.codes import binseq_value_at, saturation_bound, value_at
 
     for i in range(300):
         rng = stream(229, i)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -23,21 +24,20 @@ from carveq import (
     StructuralMismatch,
     YSeq,
     ZCode,
-    atom_eq,
     carve,
     carve_family,
-    carve_pair,
     e_invariant,
     fiber_reduction,
     jump,
     product,
     pullback,
-    range_set,
     rel_E,
     rel_F,
     rel_G,
     stream,
 )
+from carveq.atoms import CyclicWord, atom_eq, primitive_root
+from carveq.codes import range_set
 from carveq.generators import (
     gen_binseq,
     gen_cyclic,
@@ -49,6 +49,7 @@ from carveq.generators import (
     gen_zcode,
 )
 from carveq.reductions import embed_fs2
+from carveq.relations import _word_carve, carve_pair
 from carveq.serialize import to_text
 
 from helpers import (
@@ -354,6 +355,45 @@ def test_word_carves_over_long_and_coprime_periods():
         elif got[1] == 3:
             outcomes.add("clash below P" if got[2][2] < len(x.entries) else "clash past P")
     assert outcomes == {"valid", "clash below P", "clash past P"}
+
+
+def _lcm_scan_clash(entries, bits):
+    """First clause (3) clash of a word over a cyclic x, scanning every
+    position below lcm(P, L), after which both repeat."""
+    first_seen = {}
+    for pos in range(math.lcm(len(entries), len(bits))):
+        at = first_seen.setdefault(entries[pos % len(entries)], pos)
+        if bits[at % len(bits)] != bits[pos % len(bits)]:
+            return at, pos
+    return None
+
+
+def test_carve_window_is_the_fine_wilf_bound():
+    # Every x of period P <= 5 over 3 atoms and every primitive word of
+    # length 2 <= L <= 5 (18,150 inputs): the witness matches the full lcm
+    # scan, and in each of the 20 (P, L) cells some input first clashes at
+    # P + L - gcd(P, L) - 1, the last position of the window.
+    words = [
+        bits
+        for length in range(2, 6)
+        for bits in map("".join, itertools.product("01", repeat=length))
+        if primitive_root(bits) == bits
+    ]
+    latest = {}
+    for period in range(1, 6):
+        for entries in itertools.product((R1, R2, R3), repeat=period):
+            x = Cyclic(entries)
+            for bits in words:
+                want = _lcm_scan_clash(entries, bits)
+                assert _word_carve(x, CyclicWord(bits))[1] == want, (entries, bits)
+                if want is not None:
+                    cell = (period, len(bits))
+                    latest[cell] = max(latest.get(cell, 0), want[1])
+    assert latest == {
+        (period, length): period + length - math.gcd(period, length) - 1
+        for period in range(1, 6)
+        for length in range(2, 6)
+    }
 
 
 def test_kept_mask_marks_the_carved_indices():

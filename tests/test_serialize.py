@@ -21,17 +21,19 @@ from carveq import (
     YSeq,
     ZCode,
     parse_any,
-    parse_aseq,
-    parse_atom,
-    parse_binseq,
-    parse_ppoint,
     pullback,
     stream,
     to_text,
 )
 from carveq.atoms import MAX_TAG_DEPTH
 from carveq.generators import gen_serial_value
-from carveq.serialize import _Parser
+from carveq.serialize import (
+    _Parser,
+    parse_aseq,
+    parse_atom,
+    parse_binseq,
+    parse_ppoint,
+)
 
 from helpers import (
     R1,
@@ -117,6 +119,33 @@ def test_typed_entry_points():
     assert parse_binseq("(cw 01)") == CycW("01")
     p = parse_ppoint("(p (cyc (rat 1 1)) (ylist (cw 1)))")
     assert p.x == Cyclic((R1,))
+
+
+def test_parse_any_refuses_a_non_str():
+    for value in (1, None, b"(cw 1)", ("(cw 1)",)):
+        with pytest.raises(TypeError, match=f"parse_any takes a str, not {type(value).__name__}$"):
+            parse_any(value)
+
+
+def test_token_kinds_at_their_edges():
+    # Each token kind accepts exactly its grammar's words: a lone or doubled
+    # minus is no integer, a signed denominator no positive integer, and a
+    # bit string is nonempty, so the end of input is not one.
+    assert parse_any("(rat -0 1)") == Rational(0, 1)
+    assert parse_any("(tag 1 (rat -12 3))") == Tag(1, Rational(-4, 1))
+    for text, message in [
+        ("(rat - 1)", "expected an integer, found '-'"),
+        ("(rat --1 1)", "expected an integer, found '--1'"),
+        ("(rat 1- 1)", "expected an integer, found '1-'"),
+        ("(rat 1 -1)", "expected a positive integer, found '-1'"),
+        ("(tag 2 (rat 1 1))", "expected a bit, found '2'"),
+        ("(tag 01 (rat 1 1))", "expected a bit, found '01'"),
+        ("(cw 0120)", "expected a 0/1 string, found '0120'"),
+        ("(word -1)", "expected a 0/1 string, found '-1'"),
+        ("(cw", "unexpected end of input"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{message} "):
+            parse_any(text)
 
 
 def test_overlong_integer_is_a_parse_error():
