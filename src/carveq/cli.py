@@ -12,8 +12,8 @@ verify and chain take one campaign flag per FuzzConfig field and --format
 {text,machine}; chain also takes --corrupt LINK.
 count takes only --n and --format: its table depends on n alone.  echo
 takes only --help; any other argument is its text.  Exit codes: 0 pass,
-1 violation, 2 usage or configuration error, whether or not the readers of
-stdout and stderr read to the end.
+1 violation, 2 usage or configuration error or a failed write to stdout;
+a reader of stdout or stderr that stops early changes none of them.
 """
 
 import argparse
@@ -66,16 +66,19 @@ def _config(args):
 
 def _print(text, stream=None):
     """Write ``text`` and a newline to ``stream`` (stdout by default), the
-    only route for stdout and stderr.  If the reader has gone away, the
-    stream is pointed at os.devnull, so neither this write nor the flush at
-    exit raises and the exit code stays the verdict's."""
+    only route for stdout and stderr.  A failed write points the stream at
+    os.devnull, so the flush at exit cannot raise.  It exits 2 if stdout
+    failed other than on a broken pipe, and keeps the exit code otherwise."""
     stream = stream or sys.stdout
     try:
         print(text, file=stream, flush=True)
-    except BrokenPipeError:
+    except OSError as err:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
+        if stream is sys.stdout and not isinstance(err, BrokenPipeError):
+            _print(f"error: cannot write output: {err.strerror}", sys.stderr)
+            sys.exit(2)
 
 
 def _emit(report, fmt, passing):

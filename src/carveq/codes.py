@@ -9,7 +9,6 @@ comparing canonical class representatives (:func:`binseq_class_rep`).
 Opaque generator functions are rejected at the boundary.
 """
 
-import math
 from dataclasses import dataclass
 
 from .atoms import _ATOM_TYPES, AtomSet, CyclicWord, Tag, _kept, primitive_root
@@ -206,23 +205,27 @@ def binseq_class_rep(b):
     """Canonical representative of the sequence a binary code denotes, as
     one string: equal sequences, and only they, get equal strings.
 
-    A word's representative is its canonical bits.  A pullback over s rows
-    that denotes a word gets that word's bits; any other pullback gets "|"
-    followed by its row words joined with "|".  Its row words are each
-    row's bit pattern cut to its primitive root, and the list of them cut
-    to its own: the bit at e(i, j) is row i mod s's pattern at j, so two
-    such pullbacks denote the same sequence iff these match.  No word's
-    bits contain "|", so no pullback that is not a word shares a word's
-    representative.  A pullback keeps its representative in its ``_rep``
-    slot, filled here on first use.
+    A word's representative is its canonical bits.  Read through k = e(i, j),
+    a pullback over s rows is a table whose row i is row i mod s's bit
+    pattern, read cyclically.  Its canonical rows are each pattern cut to its
+    primitive root, and the list of them cut to its own.  A periodic
+    sequence's least period divides its every period, and primitive roots
+    are unique (Lothaire, *Combinatorics on Words*, 1983), so two tables are
+    equal iff their canonical rows are.  A pullback that denotes a word gets
+    that word's bits, any other "|" and its canonical rows joined with "|";
+    no word's bits contain "|".
 
     Lemma: a pullback over s rows equal to a word w of primitive length L
     has L | s.  Its table rows i and i + s are equal, so on an antidiagonal
     i + j = m >= L - 1 the word read at T(m) + j, T(t) = t(t + 1)/2,
     equals the word read at T(m + s) + j for L consecutive j.  No
     nontrivial rotation fixes w, so L | d(m) = T(m + s) - T(m) for all such
-    m, hence L | d(m + 1) - d(m) = s.  So a pullback denotes a word iff it
-    equals the word of its first s bits.
+    m, hence L | d(m + 1) - d(m) = s.  So the only word it can denote is w,
+    the root of its first s bits.  w's cell (i, j) is w at T(i + j) + j mod
+    L, and T(t + 2L) - T(t) = L(2t + 2L + 1), so w's table repeats with
+    period 2L in i and in j, and its canonical row count divides 2L.  So the
+    pullback, of m canonical rows, denotes w iff m | 2L and the root of w's
+    row i is its row i mod m for each i < 2L, checked up to the first miss.
     """
     if isinstance(b, CycW):
         return b.word.bits
@@ -231,42 +234,20 @@ def binseq_class_rep(b):
             return b._rep
         except AttributeError:
             pass
-        patterns = tuple(
-            "".join("1" if a in b.aset else "0" for a in row.entries) for row in b.base.z.entries
-        )
-        head = primitive_root("".join(str(binseq_value_at(b, k)) for k in range(len(patterns))))
-        if _denotes_word(patterns, head):
-            rep = head
+        patterns = ("".join("1" if a in b.aset else "0" for a in row.entries) for row in b.base.z.entries)
+        rows = primitive_root(tuple(map(primitive_root, patterns)))
+        w = primitive_root("".join(str(binseq_value_at(b, k)) for k in range(len(b.base.z.entries))))
+        m, n = len(rows), 2 * len(w)
+        if n % m == 0 and all(
+            primitive_root("".join(w[((i + j) * (i + j + 1) // 2 + j) % len(w)] for j in range(n)))
+            == rows[i % m] for i in range(n)
+        ):
+            rep = w
         else:
-            rep = "|" + "|".join(primitive_root(tuple(primitive_root(p) for p in patterns)))
+            rep = "|" + "|".join(rows)
         object.__setattr__(b, "_rep", rep)
         return rep
     raise TypeError(f"not a binary-sequence code: {b!r}")
-
-
-def _denotes_word(patterns, w):
-    """Whether the pullback whose row i of the table i, j -> b(e(i, j)) is
-    ``patterns[i mod s]`` read cyclically denotes the primitive word ``w``
-    of length L.
-
-    The word's cell (i, j) is w at T(i + j) + j mod L, and T(t + 2L) - T(t)
-    = L(2t + 2L + 1), so its table repeats in i and in j with period 2L.
-    Both tables then repeat in i with period lcm(2L, s), and row i of both
-    in j with period lcm(2L, p_i), p_i = len(patterns[i mod s]): agreement
-    on that grid is agreement everywhere.  The caller passes the word of
-    the first s bits, so L | s, and the grid has at most 2s rows of at most
-    2L p_i cells, 4LN <= 4sN cells in all for a code of N row entries: the
-    bound is the code's own size, and the scan stops at the first mismatch.
-    """
-    s, length = len(patterns), len(w)
-    for i in range(math.lcm(2 * length, s)):
-        row = patterns[i % s]
-        p = len(row)
-        for j in range(math.lcm(2 * length, p)):
-            t = i + j
-            if row[j % p] != w[(t * (t + 1) // 2 + j) % length]:
-                return False
-    return True
 
 
 def binseq_eq(u, v):

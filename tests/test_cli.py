@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -586,14 +587,50 @@ def run_on_a_closed_pipe(argv, stderr):
     whose read end is closed before the child starts, so its first write
     meets a broken pipe every time; stderr goes to ``stderr``, or to that
     pipe too when ``stderr`` is None."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     read, write = os.pipe()
     os.close(read)
     try:
-        return subprocess.run([sys.executable, "-m", "carveq", *argv], stdin=subprocess.DEVNULL, stdout=write,
-                              stderr=write if stderr is None else stderr, env=env, timeout=60)
+        return run_module(argv, write, write if stderr is None else stderr)
     finally:
         os.close(write)
+
+
+def run_module(argv, stdout, stderr):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "carveq", *argv], stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=stderr, env=env, timeout=60)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ("verify", "gtof", "--cases", "3"),
+    ("chain", "--cases", "2"),
+    ("chain", "--cases", "2", "--corrupt", "fxf_to_f"),
+    ("count", "--n", "2"),
+    ("echo", "(cw 1)"),
+], ids=" ".join)
+def test_a_failed_write_to_stdout_exits_2(argv):
+    # A report that never reached its reader is neither a pass nor a violation.
+    with open("/dev/full", "w") as full:
+        done = run_module(argv, full, subprocess.PIPE)
+    expected = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert (done.returncode, done.stderr.decode()) == (2, expected)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv, code", [
+    (("echo", "(cw 1)"), 0),
+    (("echo", "("), 2),
+    (("count", "--n", "9"), 2),
+    (("chain", "--cases", "2", "--corrupt", "fxf_to_f"), 1),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
+def test_a_failed_write_to_stderr_keeps_the_exit_code(argv, code):
+    with open("/dev/full", "w") as full:
+        done = run_module(argv, subprocess.PIPE, full)
+    assert done.returncode == code
 
 
 def test_broken_pipe_closes_the_devnull_descriptor(monkeypatch):

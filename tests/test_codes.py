@@ -16,6 +16,7 @@ from carveq import (
     YSeq,
     ZCode,
     binseq_eq,
+    parse_any,
     pullback,
     rel_F,
     stream,
@@ -187,6 +188,18 @@ def test_binseq_eq_matches_grid_oracle_on_word_pullbacks():
             for shape in ((length, None), (None, length), (length, length)):
                 v = word_as_pullback(word.word.bits, *shape)
                 assert binseq_eq(word, v) == reference_binseq_eq(word, v) == (length % 2 == 1), shape
+
+
+def test_a_pullback_whose_row_count_does_not_divide_2l_is_not_its_head_word():
+    # Rows 0 and 1 read 0, as every row of the word 0 does, and its first
+    # bit is 0; row 2 reads 010, so its 3 canonical rows do not divide 2L = 2.
+    pb = parse_any(
+        "(pull (pairmerge (zlist (cyc (rat 1 1)) (cyc (rat 1 1) (rat 1 1) (rat 1 1))"
+        " (cyc (rat 2 1) (rat 3 1) (rat 2 1)))) (set (rat 3 1)))"
+    )
+    assert isinstance(pb, Pullback) and binseq_value_at(pb, 0) == 0
+    assert binseq_class_rep(pb) == "|0|0|010"
+    assert not binseq_eq(pb, CycW("0")) and not reference_binseq_eq(pb, CycW("0"))
 
 
 @pytest.mark.parametrize("seed, cfg", BINSEQ_SAMPLES)

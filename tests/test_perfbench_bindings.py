@@ -1,7 +1,9 @@
 """The benchmark's tracer binds package names, and its self-test requires
-counters that only some routes of the package produce; a rename, or a route
-that stops a required counter, should fail here, fast, rather than in the
-benchmark's own self-test."""
+counters that only some routes of the package produce, workloads whose
+verdicts all check, and a rel_G reference that names a word and its
+pullback alike; a rename, a route that stops a required counter, or a wrong
+verdict should fail here, fast, rather than in the benchmark's own
+self-test."""
 
 import importlib.util
 import sys
@@ -50,9 +52,12 @@ def test_smoke_passes_reach_the_layers_selftest_requires():
         tracer = tracer_module.Tracer()
         tracer.install()
         try:
-            wl.run(inputs, tracer.call)
+            raw = wl.run(inputs, tracer.call)
         finally:
             tracer.uninstall()
+        failed = wl.check(inputs, raw).failed
+        if failed:
+            problems.append(f"{name}: {failed} failed items")
         metrics = tracer_module.layer_metrics(*tracer.totals())
         problems += [
             f"{name}: {m} is 0 but the workload exercises it"
@@ -65,3 +70,8 @@ def test_smoke_passes_reach_the_layers_selftest_requires():
             if m not in WORKER_METRICS and metrics[m][0]
         ]
     assert problems == []
+
+
+def test_relg_reference_names_a_word_and_its_pullback_alike():
+    (selftest,) = _import_perfbench("selftest")
+    assert selftest.check_relg_reference() == []
