@@ -621,16 +621,10 @@ def test_a_failed_write_to_stdout_exits_2(argv):
 
 
 @needs_dev_full
-@pytest.mark.parametrize("argv, code", [
-    (("echo", "(cw 1)"), 0),
-    (("echo", "("), 2),
-    (("count", "--n", "9"), 2),
-    (("chain", "--cases", "2", "--corrupt", "fxf_to_f"), 1),
-], ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
-def test_a_failed_write_to_stderr_keeps_the_exit_code(argv, code):
+@pytest.mark.parametrize("argv", [("echo", "("), ("count", "--n", "9")], ids=" ".join)
+def test_a_failed_write_to_stderr_keeps_the_exit_code(argv):
     with open("/dev/full", "w") as full:
-        done = run_module(argv, subprocess.PIPE, full)
-    assert done.returncode == code
+        assert run_module(argv, subprocess.PIPE, full).returncode == 2
 
 
 def test_broken_pipe_closes_the_devnull_descriptor(monkeypatch):
