@@ -13,7 +13,7 @@ from .codes import Cyclic, YSeq, binseq_class_rep, binseq_eq, iota, pullback, ra
 from .generators import gen_covering_family, gen_infiber_pair, gen_ppoint, gen_subset, realize_ppoint, stream
 from .invariants import e_invariant, fs2_invariant
 from .reductions import (
-    Violation, canonical_basepoint, case_violations, check_sampled, class_map_violations, fiber_reduction,
+    canonical_basepoint, case_violations, check_sampled, class_map_violations, fiber_reduction,
     merged, pair_violations, run_cases,
 )
 from .relations import PPoint, rel_E, rel_F
@@ -166,13 +166,16 @@ def campaign_embed(cfg):
     return _registered("embed", cfg, "fs2_to_e", image_check=same_family)
 
 
+def _tagging_clashes(universe):
+    tagged = ((f"{to_text(a)} {bit}", (a, bit), iota(a, bit)) for a in universe for bit in (0, 1))
+    return [(f"tagging is {kind}", a, b) for kind, a, b in class_map_violations(tagged)]
+
+
 def campaign_interleave(cfg):
     """Product relatedness of two cyclic pairs coincides with range equality
     of their interleavings; tagging is injective on universe x {0, 1}."""
     report = _registered("interleave", cfg, "fxf_to_f")
-    tagged = ((f"{to_text(a)} {bit}", (a, bit), iota(a, bit)) for a in cfg.universe() for bit in (0, 1))
-    found = class_map_violations(tagged)
-    report.violations += [Violation(-1, f"tagging is {kind}", a, b) for kind, a, b in found]
+    report.violations += case_violations(-1, _tagging_clashes, cfg.universe())
     return report
 
 

@@ -23,7 +23,7 @@ class DomainViolation(CarveqError):
 
 
 class ResourceLimit(CarveqError):
-    """Enumeration exceeded the configured cap."""
+    """An enumeration needs more steps than ``invariants.ENUM_CAP``."""
 
 
 class ParseError(CarveqError):

@@ -37,28 +37,27 @@ def closed_form(level, n):
     raise ValueError(f"unknown level {level!r}")
 
 
-DEFAULT_ENUM_CAP = 2_000_000
+ENUM_CAP = 2_000_000
 
 
 class _Budget:
-    """Enumeration steps against a cap.  ``steps`` yields the closed-form
-    step counts of the enumeration's parts, summed lazily, so a count past
-    the cap is refused before it starts and before a part too large to hold
-    is computed."""
+    """Enumeration steps against ``ENUM_CAP``.  ``steps`` yields the
+    closed-form step counts of the enumeration's parts, summed lazily, so a
+    count past the cap is refused before it starts and before a part too
+    large to hold is computed."""
 
-    def __init__(self, cap, steps):
+    def __init__(self, steps):
         planned = 0
         for part in steps:
             planned += part
-            if planned > cap:
-                raise ResourceLimit(f"enumeration needs more than the cap of {cap} steps")
-        self.cap = cap
+            if planned > ENUM_CAP:
+                raise ResourceLimit(f"enumeration needs more than the cap of {ENUM_CAP} steps")
         self.spent = 0
 
     def spend(self, amount=1):
         self.spent += amount
-        if self.spent > self.cap:
-            raise ResourceLimit(f"enumeration exceeded the cap of {self.cap}")
+        if self.spent > ENUM_CAP:
+            raise ResourceLimit(f"enumeration exceeded the cap of {ENUM_CAP}")
 
 
 @cache
@@ -68,7 +67,7 @@ def atom_universe(n):
     return tuple(Rational(i, 1) for i in range(1, n + 1))
 
 
-def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
+def count_classes(level, n):
     """Brute-force class count over the n-atom universe.
 
     Level F enumerates every cyclic code with period <= n and deduplicates
@@ -88,10 +87,10 @@ def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
     fresh atoms (tagging, word atoms) fall outside these counts, which
     illustrate growth under the jump rather than prove non-reducibility.
     Raises ResourceLimit, before enumerating, when the step count exceeds
-    ``cap``.  A step of F is one entry of a cyclic code, so F takes
-    sum_{k <= n} k n^k steps; a step of E is one family, so E takes
-    closed_form("E", n) steps, planned r = 1 .. n as the families whose
-    union has r as its largest atom.
+    ``ENUM_CAP``, a fixed cap.  A step of F is one entry of a cyclic code,
+    so F takes sum_{k <= n} k n^k steps; a step of E is one family, so E
+    takes closed_form("E", n) steps, planned r = 1 .. n as the families
+    whose union has r as its largest atom.
     """
     if level not in ("F", "E"):
         raise ValueError(f"unknown level {level!r}")
@@ -99,7 +98,7 @@ def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
         raise ValueError("universe size must be at least 1")
 
     if level == "F":
-        budget = _Budget(cap, (k * n**k for k in range(1, n + 1)))
+        budget = _Budget(k * n**k for k in range(1, n + 1))
         universe = atom_universe(n)
         seen = set()
         for length in range(1, n + 1):
@@ -108,7 +107,7 @@ def count_classes(level, n, cap=DEFAULT_ENUM_CAP):
                 seen.add(F_REL.key(Cyclic(combo)))
         return len(seen)
 
-    budget = _Budget(cap, (closed_form("E", r) - closed_form("E", r - 1) for r in range(1, n + 1)))
+    budget = _Budget(closed_form("E", r) - closed_form("E", r - 1) for r in range(1, n + 1))
     universe = atom_universe(n)
 
     def atoms(mask):

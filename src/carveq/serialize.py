@@ -16,12 +16,13 @@ parenthesis with spaces.  Error positions count characters from the start
 of the text.
 
 The printer emits canonical forms (single spaces, lowest terms, primitive
-words, normalized pullbacks); the parser builds values through the normal
-constructors, so print . parse is idempotent and parse . print is the
-identity on canonical values.  A repeated atom-sequence text, such as a
-point's base inside each pullback entry, is parsed once per text, and the
-entries share its value and what its slots keep.  So is a repeated rational
-text: its occurrences in one text share one ``Rational``.
+words, normalized pullbacks); the parser, whose one entry point is
+:func:`parse_any`, builds values through the normal constructors, so
+print . parse is idempotent and parse . print is the identity on canonical
+values.  A repeated atom-sequence text, such as a point's base inside each
+pullback entry, is parsed once per text, and the entries share its value
+and what its slots keep.  So is a repeated rational text: its occurrences
+in one text share one ``Rational``.
 """
 
 from .atoms import MAX_TAG_DEPTH, AtomSet, Rational, Tag, WordAtom
@@ -240,13 +241,6 @@ class _Parser:
         self.expect(")")
         return PPoint(x, y)
 
-    def any(self):
-        """Open the form, then step back over its '(' and keyword and hand
-        it to the method that parses its kind."""
-        kw = self.open(_FORMS, "unknown form keyword ")
-        self.pos -= 2
-        return _FORMS[kw](self)
-
 
 # The form each leading keyword starts, for parse_any.
 _FORMS = {
@@ -257,33 +251,16 @@ _FORMS = {
 }
 
 
-def _run(text, method):
+def parse_any(text):
+    """Parse any form of the grammar: open the form, step back over its '('
+    and keyword, hand it to the method for its kind and refuse trailing
+    input.  ``text`` must be a ``str``; any other kind raises ``TypeError``."""
+    if not isinstance(text, str):
+        raise TypeError(f"parse_any takes a str, not {type(text).__name__}")
     p = _Parser(text)
-    value = method(p)
+    kw = p.open(_FORMS, "unknown form keyword ")
+    p.pos -= 2
+    value = _FORMS[kw](p)
     if p.tokens[p.pos]:
         p.error("trailing input after complete form")
     return value
-
-
-def parse_atom(text):
-    return _run(text, _Parser.atom)
-
-
-def parse_aseq(text):
-    return _run(text, _Parser.aseq)
-
-
-def parse_binseq(text):
-    return _run(text, _Parser.binseq)
-
-
-def parse_ppoint(text):
-    return _run(text, _Parser.ppoint)
-
-
-def parse_any(text):
-    """Parse any form of the grammar, dispatching on the leading keyword.
-    ``text`` must be a ``str``; any other kind raises ``TypeError``."""
-    if not isinstance(text, str):
-        raise TypeError(f"parse_any takes a str, not {type(text).__name__}")
-    return _run(text, _Parser.any)

@@ -5,8 +5,10 @@ enumerate, or use Python's native set machinery, so agreement with the
 library is evidence rather than tautology.
 """
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import sys
 
 from carveq import (
@@ -35,6 +37,17 @@ from carveq.codes import (
 from carveq.generators import gen_binseq, gen_serial_value
 from carveq.pairing import cantor_pair
 from carveq.serialize import to_text
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracer():
+    """The benchmark's ``perfbench/tracer.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 R1, R2, R3, R4, R5, R6 = (Rational(i, 1) for i in range(1, 7))
 UNIVERSE3 = (R1, R2, R3)

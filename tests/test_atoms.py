@@ -29,7 +29,7 @@ from carveq.atoms import (
     primitive_root,
 )
 from carveq.codes import binseq_class_rep
-from carveq.serialize import parse_atom, to_text
+from carveq.serialize import parse_any, to_text
 
 from helpers import R1, R2
 from strategies import atoms, bitstrings
@@ -55,7 +55,7 @@ def test_tag_depth_cap_through_the_api():
     deep = Rational(1, 1)
     for _ in range(MAX_TAG_DEPTH):
         deep = Tag(1, deep)
-    assert parse_atom(to_text(deep)) == deep
+    assert parse_any(to_text(deep)) == deep
     assert len(AtomSet.of(deep, Rational(2))) == 2
     with pytest.raises(ValueError):
         Tag(0, deep)

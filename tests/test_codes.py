@@ -39,6 +39,7 @@ from helpers import (
     PULL_001,
     R1,
     R2,
+    R3,
     WORD_001,
     agree_below,
     binseq_sample,
@@ -82,6 +83,16 @@ def test_saturation_bound_pairmerge():
     assert expected == 5
     assert saturation_bound(PM) == expected
     assert saturation_bound(PairMerge(ZCode((Cyclic((A,)),)))) == 1
+
+
+def test_saturation_bound_is_tight():
+    # The last grid cell, e(1, 1) = 4, holds the only copy of R3, so the
+    # indexes below saturation_bound - 1 miss it.
+    x = PairMerge(ZCode((Cyclic((R1, R2)), Cyclic((R1, R3)))))
+    bound = saturation_bound(x)
+    assert bound == 5 and cantor_pair(1, 1) == bound - 1
+    assert AtomSet(tuple({value_at(x, n) for n in range(bound)})) == range_set(x)
+    assert R3 not in {value_at(x, n) for n in range(bound - 1)}
 
 
 def test_range_set():

@@ -271,15 +271,18 @@ def test_count_classes_monotone():
     assert e_counts == sorted(e_counts)
 
 
-def test_count_classes_validation_and_cap():
+def test_count_classes_validation_and_cap(monkeypatch):
+    from carveq import invariants
+
     with pytest.raises(ValueError):
         count_classes("F", 0)
     with pytest.raises(TypeError):
         count_classes("F", 3, max_period=5)  # periods stop at n: test_longer_periods_add_no_f_class
     with pytest.raises(ValueError):
         count_classes("X", 2)
+    monkeypatch.setattr(invariants, "ENUM_CAP", 50)
     with pytest.raises(ResourceLimit):
-        count_classes("E", 3, cap=50)
+        count_classes("E", 3)
 
 
 def test_count_classes_refuses_before_enumerating(monkeypatch):
@@ -297,13 +300,17 @@ def test_count_classes_refuses_before_enumerating(monkeypatch):
     with pytest.raises(ResourceLimit):
         count_classes("F", 10**9)
     # the closed forms are exact: a cap one below the step count refuses
+    monkeypatch.setattr(invariants, "ENUM_CAP", 126)
     with pytest.raises(ResourceLimit):
-        count_classes("E", 3, cap=126)
+        count_classes("E", 3)
+    monkeypatch.setattr(invariants, "ENUM_CAP", 101)
     with pytest.raises(ResourceLimit):
-        count_classes("F", 3, cap=101)  # 3 + 18 + 81 entries
+        count_classes("F", 3)  # 3 + 18 + 81 entries
     monkeypatch.undo()
-    assert count_classes("E", 3, cap=127) == 127
-    assert count_classes("F", 3, cap=102) == 7
+    monkeypatch.setattr(invariants, "ENUM_CAP", 127)
+    assert count_classes("E", 3) == 127
+    monkeypatch.setattr(invariants, "ENUM_CAP", 102)
+    assert count_classes("F", 3) == 7
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

@@ -5,25 +5,17 @@ pullback alike; a rename, a route that stops a required counter, or a wrong
 verdict should fail here, fast, rather than in the benchmark's own
 self-test."""
 
-import importlib.util
+import importlib
 import sys
-from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRACER_PATH = PERFBENCH / "tracer.py"
+from helpers import PERFBENCH, load_tracer
+
 # Metrics that worker.py computes outside layer_metrics.
 WORKER_METRICS = ("trace.verdict_s", "generators.setup_self_s")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_tracer_finds_every_boundary():
-    tracer_module = _load_tracer()
+    tracer_module = load_tracer()
     before = tracer_module.bindings()
     tracer = tracer_module.Tracer()
     tracer.install()

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import pytest
 
@@ -33,8 +35,8 @@ from carveq import (
     rel_G,
     stream,
 )
-from carveq.atoms import CyclicWord
-from carveq.codes import range_set
+from carveq.atoms import CyclicWord, primitive_root
+from carveq.codes import range_set, value_at
 from carveq.generators import (
     gen_cyclic_pair,
     gen_infiber_pair,
@@ -272,6 +274,50 @@ def test_pair_interleave_reduction_property():
         y, y2 = gen_cyclic_pair(rng, CFG)
         truth = rel_F(x, x2) and rel_F(y, y2)
         assert truth == rel_F(pair_interleave(x, y), pair_interleave(x2, y2))
+
+
+def primitive_lists(atoms, max_period):
+    """Every entry tuple over ``atoms`` of period at most ``max_period``
+    that is its own primitive root."""
+    return [
+        t
+        for period in range(1, max_period + 1)
+        for t in itertools.product(atoms, repeat=period)
+        if primitive_root(t) == t
+    ]
+
+
+def tagged_interleaving(xs, ys, k):
+    """Entry k of the tagged interleaving of the cyclic lists xs and ys, by
+    its definition: slot 2n holds xs(n) tagged 0, slot 2n + 1 ys(n) tagged 1."""
+    n, odd = divmod(k, 2)
+    return Tag(1, ys[n % len(ys)]) if odd else Tag(0, xs[n % len(xs)])
+
+
+# 105 primitive lists of period <= 4 over 3 atoms, 22 over 2 atoms.
+INTERLEAVE_PAIRS = list(itertools.product(primitive_lists((R1, R2, R3), 4), primitive_lists((R1, R2), 4)))
+
+
+def test_pair_interleave_lcm_suffices():
+    assert len(INTERLEAVE_PAIRS) == 2310
+    for xs, ys in INTERLEAVE_PAIRS:
+        lcm = math.lcm(len(xs), len(ys))
+        out = pair_interleave(Cyclic(xs), Cyclic(ys))
+        assert len(out.entries) == 2 * lcm
+        assert all(value_at(out, k) == tagged_interleaving(xs, ys, k) for k in range(6 * lcm))
+
+
+def test_pair_interleave_lcm_is_tight():
+    """The first 2m entries of the output, for any m < lcm(P, Q), repeat
+    into another sequence.  The window has period 2m and the interleaving
+    2 lcm, so they differ somewhere iff they differ below lcm(2m, 2 lcm),
+    which is at most 2 lcm m."""
+    for xs, ys in INTERLEAVE_PAIRS:
+        lcm = math.lcm(len(xs), len(ys))
+        entries = pair_interleave(Cyclic(xs), Cyclic(ys)).entries
+        for m in range(1, lcm):
+            window = entries[:2 * m]
+            assert any(window[k % (2 * m)] != tagged_interleaving(xs, ys, k) for k in range(2 * lcm * m))
 
 
 def test_g_to_f_examples():

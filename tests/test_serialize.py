@@ -27,13 +27,7 @@ from carveq import (
 )
 from carveq.atoms import MAX_TAG_DEPTH
 from carveq.generators import gen_serial_value
-from carveq.serialize import (
-    _Parser,
-    parse_aseq,
-    parse_atom,
-    parse_binseq,
-    parse_ppoint,
-)
+from carveq.serialize import _Parser
 
 from helpers import (
     R1,
@@ -114,11 +108,12 @@ def test_whitespace_insensitive():
 
 
 def test_typed_entry_points():
-    assert parse_atom("(tag 0 (rat 1 1))") == Tag(0, Rational(1, 1))
-    assert parse_aseq("(cyc (word 10))") == Cyclic((WordAtom("10"),))
-    assert parse_binseq("(cw 01)") == CycW("01")
-    p = parse_ppoint("(p (cyc (rat 1 1)) (ylist (cw 1)))")
-    assert p.x == Cyclic((R1,))
+    # parse_any reads each form as the kind its keyword names.
+    assert parse_any("(tag 0 (rat 1 1))") == Tag(0, Rational(1, 1))
+    assert parse_any("(cyc (word 10))") == Cyclic((WordAtom("10"),))
+    assert parse_any("(cw 01)") == CycW("01")
+    p = parse_any("(p (cyc (rat 1 1)) (ylist (cw 1)))")
+    assert isinstance(p, PPoint) and p.x == Cyclic((R1,))
 
 
 def test_parse_any_refuses_a_non_str():
@@ -179,53 +174,47 @@ def test_integer_digits_are_the_decimal_characters():
 
 def test_parse_errors_carry_positions():
     deep = "(tag 0 " * (MAX_TAG_DEPTH + 1) + "(rat 1 1)" + ")" * (MAX_TAG_DEPTH + 1)
-    for entry, text, message, position in [
-        (parse_any, "", "unexpected end of input", 0),
-        (parse_any, "(cw 1", "unexpected end of input", 5),
-        (parse_any, "(cw 10", "unexpected end of input", 6),
-        (parse_any, "cw 1)", "expected '(', found 'cw'", 0),
-        (parse_any, "(cw 10 1)", "expected ')', found '1'", 7),
+    for text, message, position in [
+        ("", "unexpected end of input", 0),
+        ("(cw 1", "unexpected end of input", 5),
+        ("(cw 10", "unexpected end of input", 6),
+        ("cw 1)", "expected '(', found 'cw'", 0),
+        ("(cw 10 1)", "expected ')', found '1'", 7),
         # The token '1' also occurs inside the '11' before it.
-        (parse_any, "(rat 11 1 1)", "expected ')', found '1'", 10),
-        (parse_any, "(cw 10) junk", "trailing input after complete form", 8),
-        (parse_any, "()", "expected a keyword after '('", 1),
-        (parse_any, "(unknown 1)", "unknown form keyword 'unknown'", 1),
-        (parse_any, "(cw )", "expected a 0/1 string, found ')'", 4),
-        (parse_any, "(rat x 1)", "expected an integer, found 'x'", 5),
-        (parse_any, "(rat 1 -2)", "expected a positive integer, found '-2'", 7),
-        (parse_any, "(rat 1 0)", "expected a positive integer, found '0'", 7),
+        ("(rat 11 1 1)", "expected ')', found '1'", 10),
+        ("(cw 10) junk", "trailing input after complete form", 8),
+        ("()", "expected a keyword after '('", 1),
+        ("(unknown 1)", "unknown form keyword 'unknown'", 1),
+        ("(cw )", "expected a 0/1 string, found ')'", 4),
+        ("(rat x 1)", "expected an integer, found 'x'", 5),
+        ("(rat 1 -2)", "expected a positive integer, found '-2'", 7),
+        ("(rat 1 0)", "expected a positive integer, found '0'", 7),
         # U+0660 is a decimal digit, so it reads as an integer, here zero.
-        (parse_any, "(rat 1 \u0660)", "expected a positive integer, found '\u0660'", 7),
-        (parse_any, "(tag 2 (rat 1 1))", "expected a bit, found '2'", 5),
-        (parse_any, deep, f"tags nested deeper than {MAX_TAG_DEPTH}", 7 * (MAX_TAG_DEPTH + 1)),
-        (parse_any, "(word 012)", "expected a 0/1 string, found '012'", 6),
-        (parse_any, "(cyc (cw 1))", "expected an atom keyword, found 'cw'", 6),
-        (parse_any, "(pull (rat 1 1) (set))", "expected an atom-sequence keyword, found 'rat'", 7),
-        (parse_any, "(ylist (cyc (rat 1 1)))", "expected a binary-sequence keyword, found 'cyc'", 8),
-        (parse_any, "(pull (cyc (rat 1 1)) (zlist))", "expected 'set', found 'zlist'", 23),
-        (parse_any, "(cyc)", "cyc needs at least one atom", 4),
-        (parse_any, "(ylist)", "ylist needs at least one entry", 6),
-        (parse_any, "(zlist)", "zlist needs at least one row", 6),
-        (parse_any, "(zlist (cw 1))", "expected 'cyc', found 'cw'", 8),
-        (parse_any, "(p (cyc (rat 1 1)) (zlist (cyc (rat 1 1))))", "expected 'ylist', found 'zlist'", 20),
+        ("(rat 1 \u0660)", "expected a positive integer, found '\u0660'", 7),
+        ("(tag 2 (rat 1 1))", "expected a bit, found '2'", 5),
+        (deep, f"tags nested deeper than {MAX_TAG_DEPTH}", 7 * (MAX_TAG_DEPTH + 1)),
+        ("(word 012)", "expected a 0/1 string, found '012'", 6),
+        ("(cyc (cw 1))", "expected an atom keyword, found 'cw'", 6),
+        ("(pull (rat 1 1) (set))", "expected an atom-sequence keyword, found 'rat'", 7),
+        ("(ylist (cyc (rat 1 1)))", "expected a binary-sequence keyword, found 'cyc'", 8),
+        ("(pull (cyc (rat 1 1)) (zlist))", "expected 'set', found 'zlist'", 23),
+        ("(cyc)", "cyc needs at least one atom", 4),
+        ("(ylist)", "ylist needs at least one entry", 6),
+        ("(zlist)", "zlist needs at least one row", 6),
+        ("(zlist (cw 1))", "expected 'cyc', found 'cw'", 8),
+        ("(p (cyc (rat 1 1)) (zlist (cyc (rat 1 1))))", "expected 'ylist', found 'zlist'", 20),
         # U+3000 is whitespace; U+200B is not, so it joins the keyword.
-        (parse_any, "(cw\u300010)\u3000junk", "trailing input after complete form", 8),
-        (parse_any, "(cw\u200b 10)", "unknown form keyword 'cw\\u200b'", 1),
-        (parse_ppoint, "(cw 1)", "expected 'p', found 'cw'", 1),
-        (parse_atom, "(cw 1)", "expected an atom keyword, found 'cw'", 1),
-        (parse_aseq, "(rat 1 1)", "expected an atom-sequence keyword, found 'rat'", 1),
-        (parse_binseq, "(cyc (rat 1 1))", "expected a binary-sequence keyword, found 'cyc'", 1),
+        ("(cw\u300010)\u3000junk", "trailing input after complete form", 8),
+        ("(cw\u200b 10)", "unknown form keyword 'cw\\u200b'", 1),
         # Errors after a repeated rational text, whose value the parser keeps.
-        (parse_aseq, "(cyc (rat 1 2) (rat 1 2) (rat 1 0))", "expected a positive integer, found '0'", 32),
-        (parse_any, "(cyc (rat 1 2) (rat 1 2) (rat 1 0))", "expected a positive integer, found '0'", 32),
-        (parse_aseq, "(cyc (rat 1 2) (rat 1 2)", "unexpected end of input", 24),
-        (parse_any, "(cyc (rat 1 2) (rat 1 2)", "unexpected end of input", 24),
-        (parse_any, "(cyc (rat 1 2) (rat 1 2", "unexpected end of input", 23),
-        (parse_any, "(cyc (rat 1 2) (rat 1 2 (rat 1 2)))", "expected ')', found '('", 24),
-        (parse_ppoint, "(p (cyc (rat 1 2)) (ylist (rat 1 2)))", "expected a binary-sequence keyword, found 'rat'", 27),
+        ("(cyc (rat 1 2) (rat 1 2) (rat 1 0))", "expected a positive integer, found '0'", 32),
+        ("(cyc (rat 1 2) (rat 1 2)", "unexpected end of input", 24),
+        ("(cyc (rat 1 2) (rat 1 2", "unexpected end of input", 23),
+        ("(cyc (rat 1 2) (rat 1 2 (rat 1 2)))", "expected ')', found '('", 24),
+        ("(p (cyc (rat 1 2)) (ylist (rat 1 2)))", "expected a binary-sequence keyword, found 'rat'", 27),
     ]:
         with pytest.raises(ParseError) as err:
-            entry(text)
+            parse_any(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
 
@@ -276,7 +265,7 @@ def test_every_code_point_tokenizes_as_the_reference():
 
 def test_parse_ppoint_validates():
     with pytest.raises(ClauseViolation) as err:
-        parse_ppoint("(p (cyc (rat 1 1) (rat 1 1)) (ylist (cw 10)))")
+        parse_any("(p (cyc (rat 1 1) (rat 1 1)) (ylist (cw 10)))")
     assert err.value.clause == 3
 
 
@@ -295,7 +284,7 @@ POINT_A = PPoint(BASE_A, YSeq((pullback(BASE_A, AtomSet.of(R1)), pullback(BASE_A
 
 
 def test_parsed_point_entries_share_its_base():
-    p = parse_ppoint(to_text(POINT_A))
+    p = parse_any(to_text(POINT_A))
     assert p == POINT_A
     assert all(isinstance(e, Pullback) and e.base is p.x for e in p.y.entries)
 
@@ -306,7 +295,7 @@ def test_entry_over_a_base_one_token_off_is_a_mismatch():
     at = text.index("(rat 2 1)", text.index("(rat 2 1)", text.index("(rat 2 1)") + 1) + 1)
     bad = text[:at] + "(rat 4 1)" + text[at + len("(rat 4 1)"):]
     with pytest.raises(StructuralMismatch, match="entry 1 pulls back over a different base"):
-        parse_ppoint(bad)
+        parse_any(bad)
 
 
 def test_alternating_bases_round_trip():
@@ -334,7 +323,7 @@ def test_a_repeated_rational_text_parses_to_one_value():
     x = Cyclic((R1, Tag(1, R1), R2, Tag(0, Tag(1, R2))))
     y = YSeq((pullback(x, AtomSet.of(R1, Tag(1, R1))), pullback(x, AtomSet.of(R2, Tag(0, Tag(1, R2))))))
     point = PPoint(x, y)
-    back = parse_ppoint(to_text(point))
+    back = parse_any(to_text(point))
     assert back == point
     seen = {}
     for r in rationals_in(back):
@@ -342,11 +331,11 @@ def test_a_repeated_rational_text_parses_to_one_value():
     assert set(seen) == {(R1.num, R1.den), (R2.num, R2.den)}
     assert all(len(ids) == 1 for ids in seen.values())
     assert sum(1 for _ in rationals_in(back)) > len(seen)
-    assert parse_aseq("(cyc (rat 1 2) (rat 1 3) (rat 1 2))") == Cyclic((Rational(1, 2), Rational(1, 3), Rational(1, 2)))
+    assert parse_any("(cyc (rat 1 2) (rat 1 3) (rat 1 2))") == Cyclic((Rational(1, 2), Rational(1, 3), Rational(1, 2)))
 
 
 def test_equal_rationals_from_different_texts_are_equal():
-    first, second = parse_aseq("(cyc (rat 2 4) (rat 1 2) (rat 1 3))").entries[:2]
+    first, second = parse_any("(cyc (rat 2 4) (rat 1 2) (rat 1 3))").entries[:2]
     assert first == second == Rational(1, 2)
 
 
