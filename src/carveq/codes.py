@@ -15,6 +15,20 @@ from .atoms import _ATOM_TYPES, AtomSet, CyclicWord, Tag, _kept, primitive_root
 from .pairing import cantor_pair, cantor_unpair
 
 
+def _check_entries(code, kinds, item, must_be):
+    """Store ``code.entries`` as a tuple, refusing an empty list with
+    ``<class> needs at least one <item>`` and an entry not of ``kinds``
+    with ``<class> <must_be>, got <entry>``: the one check of the cyclic
+    list codes Cyclic, ZCode and YSeq."""
+    entries = tuple(code.entries)
+    if not entries:
+        raise ValueError(f"{type(code).__name__} needs at least one {item}")
+    for e in entries:
+        if not isinstance(e, kinds):
+            raise TypeError(f"{type(code).__name__} {must_be}, got {e!r}")
+    object.__setattr__(code, "entries", entries)
+
+
 @dataclass(frozen=True, slots=True)
 class Cyclic(_kept("_carves")):
     """Cyclic entry list denoting x(n) = entries[n mod len(entries)].  The
@@ -23,13 +37,7 @@ class Cyclic(_kept("_carves")):
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
-            raise ValueError("Cyclic needs at least one entry")
-        for a in entries:
-            if not isinstance(a, _ATOM_TYPES):
-                raise TypeError(f"Cyclic entries must be atoms, got {a!r}")
-        object.__setattr__(self, "entries", entries)
+        _check_entries(self, _ATOM_TYPES, "entry", "entries must be atoms")
         object.__setattr__(self, "_carves", None)
 
 
@@ -40,13 +48,7 @@ class ZCode:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
-            raise ValueError("ZCode needs at least one row")
-        for row in entries:
-            if not isinstance(row, Cyclic):
-                raise TypeError(f"ZCode rows must be Cyclic codes, got {row!r}")
-        object.__setattr__(self, "entries", entries)
+        _check_entries(self, Cyclic, "row", "rows must be Cyclic codes")
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,13 +265,7 @@ class YSeq:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
-            raise ValueError("YSeq needs at least one entry")
-        for b in entries:
-            if not isinstance(b, (CycW, Pullback)):
-                raise TypeError(f"YSeq entries must be binary-sequence codes, got {b!r}")
-        object.__setattr__(self, "entries", entries)
+        _check_entries(self, (CycW, Pullback), "entry", "entries must be binary-sequence codes")
 
 
 def iota(a, bit):

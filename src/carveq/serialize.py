@@ -19,10 +19,12 @@ The printer emits canonical forms (single spaces, lowest terms, primitive
 words, normalized pullbacks); the parser, whose one entry point is
 :func:`parse_any`, builds values through the normal constructors, so
 print . parse is idempotent and parse . print is the identity on canonical
-values.  A repeated atom-sequence text, such as a point's base inside each
-pullback entry, is parsed once per text, and the entries share its value
-and what its slots keep.  So is a repeated rational text: its occurrences
-in one text share one ``Rational``.
+values.  It reads each form's '(' and keyword once, and one table maps the
+keyword to the rule that parses the rest of the form.  A repeated
+atom-sequence text, such as a point's base inside each pullback entry, is
+parsed once per text, and the entries share its value and what its slots
+keep.  So is a repeated rational text: its occurrences in one text share
+one ``Rational``.
 """
 
 from .atoms import MAX_TAG_DEPTH, AtomSet, Rational, Tag, WordAtom
@@ -81,6 +83,9 @@ class _Parser:
     ``""``: no token is empty, so the sentinel matches nothing, and each
     read is an index into the tuple with no end check of its own.
 
+    Every nonterminal is :meth:`form` over its keywords.  ``depth`` counts
+    the tags open around the atom being read.
+
     The tokens are the words that ``str.split()`` finds once each
     parenthesis is padded with spaces.  It splits on exactly the
     ``str.isspace`` characters, which ``\\s`` in a str pattern also
@@ -100,6 +105,7 @@ class _Parser:
         self.pos = 0
         self.last_span = self.last_aseq = None
         self.rationals = {}
+        self.depth = 0
 
     def error(self, message):
         """Raise at the start of token ``pos``, the end of the text at the
@@ -115,24 +121,29 @@ class _Parser:
         """Raise ``message``, or ``unexpected end of input`` at the sentinel."""
         self.error("unexpected end of input" if self.tokens[self.pos] == "" else message)
 
-    def expect(self, tok):
-        found = self.tokens[self.pos]
-        if found != tok:
-            self.fail(f"expected {tok!r}, found {found!r}")
+    def form(self, keywords, mismatch=None):
+        """Parse a whole form: consume '(' and the keyword after it, then
+        let the keyword's rule in ``_RULES`` parse the rest through ')'.
+        A keyword not in ``keywords`` raises ``mismatch`` and its repr at
+        it; ``mismatch`` defaults to ``expected <the one keyword>, found ``.
+        This is the only code that reads a '(' or a keyword."""
+        if self.tokens[self.pos] != "(":
+            self.fail(f"expected '(', found {self.tokens[self.pos]!r}")
         self.pos += 1
-
-    def open(self, keywords, mismatch=None):
-        """Consume '(' and the keyword after it, and return the keyword.  A
-        keyword not in ``keywords`` raises ``mismatch`` and its repr at it;
-        ``mismatch`` defaults to ``expected <the one keyword>, found ``."""
-        self.expect("(")
         kw = self.tokens[self.pos]
         if kw not in keywords:
             if kw in "()":
                 self.fail("expected a keyword after '('")
             self.error((mismatch or f"expected {keywords[0]!r}, found ") + repr(kw))
         self.pos += 1
-        return kw
+        return _RULES[kw](self)
+
+    def close(self, value=None):
+        """Consume ')' and return ``value``."""
+        if self.tokens[self.pos] != ")":
+            self.fail(f"expected ')', found {self.tokens[self.pos]!r}")
+        self.pos += 1
+        return value
 
     def token(self, accepts, noun):
         """Consume and return a token for which ``accepts`` is true, or
@@ -155,38 +166,41 @@ class _Parser:
             self.pos -= 1
             self.error(f"integer too long to convert ({len(tok)} characters)")
 
-    def atom(self, depth=0):
-        start = self.pos
-        key = self.tokens[start:start + 5]
-        value = self.rationals.get(key)
-        if value is not None:
-            self.pos = start + 5
-            return value
-        kw = self.open(("rat", "tag", "word"), "expected an atom keyword, found ")
-        if kw == "rat":
-            num = self.integer(_is_int, "an integer")
-            den = self.integer(str.isdecimal, "a positive integer")
-            if den == 0:
-                self.pos -= 1
-                self.error(f"expected a positive integer, found {self.tokens[self.pos]!r}")
-            self.expect(")")
-            value = self.rationals[key] = Rational(num, den)
-            return value
-        if kw == "tag":
-            bit = int(self.token(_is_bit, "a bit"))
-            if depth == MAX_TAG_DEPTH:
-                self.error(f"tags nested deeper than {MAX_TAG_DEPTH}")
-            value = Tag(bit, self.atom(depth + 1))
-        else:
-            value = WordAtom(self.token(_is_bits, "a 0/1 string"))
-        self.expect(")")
+    def atom(self):
+        """Parse an atom, or skip the five tokens of a rational text parsed
+        before in this text and return its value."""
+        value = self.rationals.get(self.tokens[self.pos:self.pos + 5])
+        if value is None:
+            return self.form(("rat", "tag", "word"), "expected an atom keyword, found ")
+        self.pos += 5
         return value
+
+    def rat(self):
+        num = self.integer(_is_int, "an integer")
+        den = self.integer(str.isdecimal, "a positive integer")
+        if den == 0:
+            self.pos -= 1
+            self.error(f"expected a positive integer, found {self.tokens[self.pos]!r}")
+        self.close()
+        value = self.rationals[self.tokens[self.pos - 5:self.pos]] = Rational(num, den)
+        return value
+
+    def tag(self):
+        """Refuse a tag nested deeper than ``MAX_TAG_DEPTH`` at its inner
+        atom, before descending into it."""
+        bit = int(self.token(_is_bit, "a bit"))
+        if self.depth == MAX_TAG_DEPTH:
+            self.error(f"tags nested deeper than {MAX_TAG_DEPTH}")
+        self.depth += 1
+        value = Tag(bit, self.atom())
+        self.depth -= 1
+        return self.close(value)
 
     def rest(self, kw, item, noun):
         """Parse the items after keyword ``kw`` up to and including ')' and
         return them as a tuple.  An empty list is an error naming ``noun``,
         unless ``noun`` is None.  At the sentinel the next item fails in
-        :meth:`open`."""
+        :meth:`form`."""
         items = []
         while self.tokens[self.pos] != ")":
             items.append(item())
@@ -195,72 +209,53 @@ class _Parser:
         self.pos += 1
         return tuple(items)
 
-    def listed(self, kw, item, noun):
-        """Parse ``( kw item* )`` as :meth:`rest` does."""
-        self.open((kw,))
-        return self.rest(kw, item, noun)
-
-    def row(self):
-        return Cyclic(self.listed("cyc", self.atom, "atom"))
-
     def aseq(self):
         """Parse an atom-sequence, or skip a repeat of the tokens of the
         last one parsed in this text and return its value.  The grammar is
-        context-free and tag depth restarts at 0 in every atom-sequence, so
-        equal token runs parse to equal values, and a run that parsed once
-        cannot fail: the repeat would parse to an equal value."""
+        context-free and no atom-sequence lies inside a tag, so equal token
+        runs parse to equal values, and a run that parsed once cannot fail:
+        the repeat would parse to an equal value."""
         start, span = self.pos, self.last_span
         if span is not None and self.tokens[start:start + len(span)] == span:
             self.pos += len(span)
             return self.last_aseq
-        if self.open(("cyc", "pairmerge"), "expected an atom-sequence keyword, found ") == "cyc":
-            value = Cyclic(self.rest("cyc", self.atom, "atom"))
-        else:
-            value = PairMerge(self.zcode())
-            self.expect(")")
+        value = self.form(("cyc", "pairmerge"), "expected an atom-sequence keyword, found ")
         self.last_span, self.last_aseq = self.tokens[start:self.pos], value
         return value
 
     def binseq(self):
-        if self.open(("cw", "pull"), "expected a binary-sequence keyword, found ") == "cw":
-            value = CycW(self.token(_is_bits, "a 0/1 string"))
-        else:
-            value = pullback(self.aseq(), AtomSet(self.listed("set", self.atom, None)))
-        self.expect(")")
-        return value
-
-    def yseq(self):
-        return YSeq(self.listed("ylist", self.binseq, "entry"))
-
-    def zcode(self):
-        return ZCode(self.listed("zlist", self.row, "row"))
-
-    def ppoint(self):
-        self.open(("p",))
-        x, y = self.aseq(), self.yseq()
-        self.expect(")")
-        return PPoint(x, y)
+        return self.form(("cw", "pull"), "expected a binary-sequence keyword, found ")
 
 
-# The form each leading keyword starts, for parse_any.
-_FORMS = {
-    **dict.fromkeys(("rat", "tag", "word"), _Parser.atom),
-    **dict.fromkeys(("cyc", "pairmerge"), _Parser.aseq),
-    **dict.fromkeys(("cw", "pull"), _Parser.binseq),
-    "ylist": _Parser.yseq, "zlist": _Parser.zcode, "p": _Parser.ppoint,
+# Each keyword of the grammar, with the rule that parses the rest of its
+# form through ')'.  A point is built only after its ')', so a syntax
+# error in it wins over a clause error.
+_RULES = {
+    "rat": _Parser.rat,
+    "tag": _Parser.tag,
+    "word": lambda p: p.close(WordAtom(p.token(_is_bits, "a 0/1 string"))),
+    "cyc": lambda p: Cyclic(p.rest("cyc", p.atom, "atom")),
+    "pairmerge": lambda p: p.close(PairMerge(p.form(("zlist",)))),
+    "cw": lambda p: p.close(CycW(p.token(_is_bits, "a 0/1 string"))),
+    "pull": lambda p: p.close(pullback(p.aseq(), p.form(("set",)))),
+    "set": lambda p: AtomSet(p.rest("set", p.atom, None)),
+    "ylist": lambda p: YSeq(p.rest("ylist", p.binseq, "entry")),
+    "zlist": lambda p: ZCode(p.rest("zlist", lambda: p.form(("cyc",)), "row")),
+    "p": lambda p: PPoint(*p.close((p.aseq(), p.form(("ylist",))))),
 }
+
+# The forms parse_any reads: every keyword's but the set of a pullback.
+_TOP = _RULES.keys() - {"set"}
 
 
 def parse_any(text):
-    """Parse any form of the grammar: open the form, step back over its '('
-    and keyword, hand it to the method for its kind and refuse trailing
-    input.  ``text`` must be a ``str``; any other kind raises ``TypeError``."""
+    """Parse any form of the grammar through :meth:`_Parser.form` and refuse
+    trailing input.  ``text`` must be a ``str``; any other kind raises
+    ``TypeError``."""
     if not isinstance(text, str):
         raise TypeError(f"parse_any takes a str, not {type(text).__name__}")
     p = _Parser(text)
-    kw = p.open(_FORMS, "unknown form keyword ")
-    p.pos -= 2
-    value = _FORMS[kw](p)
+    value = p.form(_TOP, "unknown form keyword ")
     if p.tokens[p.pos]:
         p.error("trailing input after complete form")
     return value

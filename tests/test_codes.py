@@ -294,6 +294,26 @@ def test_pullback_normalization():
     assert pb.aset == AtomSet.of(A)
 
 
+@pytest.mark.parametrize(
+    "cls, good, bad, empty, must_be",
+    [
+        (Cyclic, A, CycW("1"), "Cyclic needs at least one entry", "Cyclic entries must be atoms"),
+        (ZCode, Cyclic((A,)), A, "ZCode needs at least one row", "ZCode rows must be Cyclic codes"),
+        (YSeq, CycW("1"), Cyclic((A,)), "YSeq needs at least one entry", "YSeq entries must be binary-sequence codes"),
+    ],
+)
+def test_cyclic_list_codes_check_their_entries(cls, good, bad, empty, must_be):
+    # Any iterable of entries is stored as a tuple; an empty one and an
+    # entry of the wrong kind are refused with these exact messages.
+    assert cls([good, good]).entries == (good, good)
+    with pytest.raises(ValueError) as err:
+        cls(())
+    assert str(err.value) == empty
+    with pytest.raises(TypeError) as err:
+        cls((good, bad))
+    assert str(err.value) == f"{must_be}, got {bad!r}"
+
+
 def test_pullback_constructor_rejects_unnormalized():
     with pytest.raises(ValueError):
         Pullback(Cyclic((A, B)), AtomSet.of(A))

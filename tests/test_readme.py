@@ -4,6 +4,7 @@ import re
 import types
 
 import carveq
+from carveq import serialize
 
 from helpers import load_tracer
 
@@ -94,3 +95,15 @@ def test_cited_tests_exist():
                 assert name in defined_names(ROOT / current), f"{current}::{name}"
                 cited += 1
     assert cited > 0
+
+
+def test_grammar_is_the_parser_table():
+    """The README's grammar block is the one in ``serialize``'s docstring,
+    line for line with indentation stripped, and the keywords it quotes
+    after a '(' are the keys of the parser's table, ``set`` included.  A
+    form added to the grammar or to the table alone fails here."""
+    section = re.search(r"^## Serialization grammar\n(.*?)^## ", README.read_text(), re.M | re.S).group(1)
+    readme = re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1).splitlines()
+    docstring = re.search(r"^Grammar .*:\n\n((?:    .*\n)+)", serialize.__doc__, re.M).group(1).splitlines()
+    assert readme == [line.strip() for line in docstring]
+    assert set(re.findall(r'"\s*\((\w+)', "\n".join(readme))) == set(serialize._RULES)

@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from carveq import (
     ATOM_EQ,
@@ -24,6 +24,7 @@ from carveq import (
     StructuralMismatch,
     YSeq,
     ZCode,
+    binseq_eq,
     carve,
     carve_family,
     e_invariant,
@@ -182,6 +183,46 @@ def test_rel_g_matches_forall_exists_of_reference_binseq_eq(pair):
     verdict = forall_exists(u.entries, v.entries, reference_binseq_eq)
     assert rel_G(u, v) == verdict
     assert verdict or not related
+
+
+# The decisions over finite entry lists (README "Finite bounds"): the codes
+# each takes, the decision and the relation between entries.
+ENTRY_LIST_DECISIONS = {
+    "jump(ATOM_EQ)": (cyclics, jump(ATOM_EQ).decide, atom_eq),
+    "jump(F_REL)": (zcodes, jump(F_REL).decide, rel_F),
+    "rel_G": (yseqs, rel_G, binseq_eq),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_LIST_DECISIONS))
+@settings(derandomize=True, max_examples=100)
+@given(data=st.data())
+def test_jump_entry_list_suffices(name, data):
+    """A code whose entry list is repeated 2-3 times decides as the code
+    itself against any partner, on either side: reading past one list
+    finds no class that the list does not hit."""
+    codes, decide, _ = ENTRY_LIST_DECISIONS[name]
+    u, v, _ = data.draw(operand_pairs(codes))
+    longer = type(u)(u.entries * data.draw(st.integers(2, 3)))
+    assert decide(longer, v) == decide(u, v)
+    assert decide(v, longer) == decide(v, u)
+    assert decide(longer, u)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_LIST_DECISIONS))
+@settings(derandomize=True, max_examples=100)
+@given(data=st.data())
+def test_jump_entry_list_is_tight(name, data):
+    """When a code's last entry is the only one of its class, the code is
+    unrelated to the partner that has a copy of its first entry in that
+    place: the two agree on ``entries[:-1]``, so a key read over those
+    differs from the full key, and no shorter read of the list decides."""
+    codes, decide, element_rel = ENTRY_LIST_DECISIONS[name]
+    u = data.draw(codes)
+    last = u.entries[-1]
+    others = tuple(e for e in u.entries[:-1] if not element_rel(e, last))
+    assume(others)
+    assert not decide(type(u)(others + (last,)), type(u)(others + others[:1]))
 
 
 def test_jump_of_a_keyless_relation_raises():

@@ -185,6 +185,8 @@ def test_parse_errors_carry_positions():
         ("(cw 10) junk", "trailing input after complete form", 8),
         ("()", "expected a keyword after '('", 1),
         ("(unknown 1)", "unknown form keyword 'unknown'", 1),
+        # A pullback's set has a rule of its own but is no top-level form.
+        ("(set (rat 1 1))", "unknown form keyword 'set'", 1),
         ("(cw )", "expected a 0/1 string, found ')'", 4),
         ("(rat x 1)", "expected an integer, found 'x'", 5),
         ("(rat 1 -2)", "expected a positive integer, found '-2'", 7),
@@ -203,6 +205,8 @@ def test_parse_errors_carry_positions():
         ("(zlist)", "zlist needs at least one row", 6),
         ("(zlist (cw 1))", "expected 'cyc', found 'cw'", 8),
         ("(p (cyc (rat 1 1)) (zlist (cyc (rat 1 1))))", "expected 'ylist', found 'zlist'", 20),
+        # This point breaks clause (3), but it is built only after its ')'.
+        ("(p (cyc (rat 1 1)) (ylist (cw 01))", "unexpected end of input", 34),
         # U+3000 is whitespace; U+200B is not, so it joins the keyword.
         ("(cw\u300010)\u3000junk", "trailing input after complete form", 8),
         ("(cw\u200b 10)", "unknown form keyword 'cw\\u200b'", 1),
